@@ -1,32 +1,25 @@
-//! Walk-step kernel: scalar `Walker` vs batched `BatchWalker` on the
-//! topologies the protocols actually run — expander (random regular, the
-//! paper's fast-mixing case), cycle (degree 2, slow mixing), and star
-//! (maximal degree skew) — at several degrees.
+//! Walk-step kernel: the cohort kernel `step_cohort` vs its per-word
+//! reference loop (`step_cohort_per_word`) on the topologies the
+//! protocols actually run — expander (random regular, the paper's
+//! fast-mixing case), cycle (degree 2, slow mixing), and star (maximal
+//! degree skew) — at several degrees.
 //!
-//! Throughput is reported per walker step. The batched kernel's win comes
-//! from bulk RNG generation (register-resident xoshiro fill for the
-//! regular fast path, the 8-lane striped [`WideRng`] block for the lazy
-//! walk) plus the gather-style two-pass Lemire mapping over the flat CSR
-//! arena; the scalar path pays one generator round-trip per step.
-//!
-//! The lazy group carries a third variant, `fused`, replaying the
-//! previous single-stream fused kernel verbatim
-//! ([`tlb_bench::workloads::step_lazy_fused_reference`]: one inline
-//! `SmallRng` word per walker, affine gather, branchless select) so the
-//! wide-lane win over the old kernel — not just over scalar — stays
-//! measured.
+//! Throughput is reported per walker step. Both variants draw the same
+//! counter-based words and land every walker on the same node; the
+//! kernel's margin comes from hoisting the walk-kind dispatch out of the
+//! loop, the flat-CSR path on regular graphs and the branchless lazy
+//! stay-select.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tlb_bench::workloads::step_lazy_fused_reference;
 use tlb_graphs::generators::{cycle, random_regular, star};
 use tlb_graphs::{Graph, NodeId};
-use tlb_walks::batch::step_batch_scalar;
-use tlb_walks::{BatchWalker, WalkKind};
+use tlb_walks::batch::step_cohort_per_word;
+use tlb_walks::{mix_pair, step_cohort, WalkKind};
 
-/// Cohort size per batched call: the order of magnitude of ejected tasks
-/// per round in the Section-7 experiments.
+/// Walkers per cohort: the order of magnitude of ejected tasks per round
+/// in the Section-7 experiments.
 const COHORT: usize = 1024;
 
 fn graphs() -> Vec<(String, Graph)> {
@@ -43,37 +36,28 @@ fn graphs() -> Vec<(String, Graph)> {
     out
 }
 
+type Stepper = fn(&Graph, WalkKind, &mut [NodeId], u64);
+
 fn bench_walk_kernel(c: &mut Criterion) {
     for kind in [WalkKind::MaxDegree, WalkKind::Lazy] {
         let mut group = c.benchmark_group(format!("walk_kernel/{}", kind.label()));
         group.throughput(Throughput::Elements(COHORT as u64));
         for (name, g) in graphs() {
-            let starts: Vec<NodeId> =
-                (0..COHORT as u32).map(|i| i % g.num_nodes() as u32).collect();
-            group.bench_with_input(BenchmarkId::new("scalar", &name), &g, |b, g| {
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut positions = starts.clone();
-                b.iter(|| {
-                    step_batch_scalar(g, kind, &mut positions, &mut rng);
-                    positions[0]
-                })
-            });
-            group.bench_with_input(BenchmarkId::new("batched", &name), &g, |b, g| {
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut kernel = BatchWalker::new();
-                let mut positions = starts.clone();
-                b.iter(|| {
-                    kernel.step_batch(g, kind, &mut positions, &mut rng);
-                    positions[0]
-                })
-            });
-            if kind == WalkKind::Lazy {
-                // The pre-wide-lane fused kernel, replayed verbatim.
-                group.bench_with_input(BenchmarkId::new("fused", &name), &g, |b, g| {
-                    let mut rng = SmallRng::seed_from_u64(7);
+            // A node-ordered cohort spread over the whole graph.
+            let n = g.num_nodes();
+            let starts: Vec<NodeId> = (0..COHORT).map(|i| (i * n / COHORT) as NodeId).collect();
+            let variants: [(&str, Stepper); 2] =
+                [("per_word", step_cohort_per_word), ("cohort", step_cohort)];
+            for (label, step) in variants {
+                group.bench_with_input(BenchmarkId::new(label, &name), &g, |b, g| {
+                    let mut round = 0u64;
                     let mut positions = starts.clone();
                     b.iter(|| {
-                        step_lazy_fused_reference(g, &mut positions, &mut rng);
+                        // Every step restarts from the sorted cohort, as
+                        // each protocol round does.
+                        positions.copy_from_slice(&starts);
+                        step(g, kind, &mut positions, mix_pair(7, round));
+                        round += 1;
                         positions[0]
                     })
                 });

@@ -1,11 +1,10 @@
 //! CI smoke bench: measure trial-harness throughput (sequential vs the
 //! persistent worker pool) on the uneven workload and write a
 //! `BENCH_harness.json` snapshot so the perf trajectory accumulates run
-//! over run. A second snapshot, `BENCH_sweep.json`, covers this PR's two
-//! batching axes: the walk-step kernel (scalar vs wide-lane-batched vs the PR 4
-//! fused replay, on d8/d16 expanders)
-//! and sweep scheduling (whole-sweep `run_sweep` vs the per-point loop on
-//! an uneven sweep).
+//! over run. A second snapshot, `BENCH_sweep.json`, covers two batching
+//! axes: the walk-step kernel (the cohort kernel `step_cohort` vs its
+//! per-word reference loop, on d8/d16 expanders) and sweep scheduling
+//! (whole-sweep `run_sweep` vs the per-point loop on an uneven sweep).
 //!
 //! Usage: `harness_smoke [--trials N] [--batches B] [--reps R] [--out PATH]
 //!                       [--sweep-points P] [--sweep-trials T] [--sweep-out PATH]`
@@ -26,14 +25,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_bench::rss::{peak_rss_bytes, rss_json};
 use tlb_bench::workloads::{
-    run_sweep_per_point, run_sweep_whole, run_trials_scoped, step_lazy_fused_reference,
-    sweep_point_seeds, uneven_user_trial,
+    run_sweep_per_point, run_sweep_whole, run_trials_scoped, sweep_point_seeds, uneven_user_trial,
 };
 use tlb_experiments::harness;
 use tlb_graphs::generators::random_regular;
-use tlb_graphs::NodeId;
-use tlb_walks::batch::step_batch_scalar;
-use tlb_walks::{BatchWalker, WalkKind};
+use tlb_graphs::{Graph, NodeId};
+use tlb_walks::batch::step_cohort_per_word;
+use tlb_walks::{mix_pair, step_cohort, WalkKind};
 
 /// Best-of-`reps` wall time of `run` (minimum is the least noisy
 /// wall-clock estimator for short batches); returns it with the last
@@ -63,81 +61,61 @@ where
     all
 }
 
-/// Walk-kernel throughput: scalar vs batched one-step sampling of a
-/// `COHORT`-walker cohort on a degree-`d` expander, best of `reps` timed
-/// blocks of `ITERS` steps each. Returns steps/sec
-/// `(scalar, batched, fused)`, where `fused` replays the pre-wide-lane
-/// single-stream kernel (one `SmallRng` word per walker through the lazy
-/// word law) and is only measured for [`WalkKind::Lazy`] (`None`
-/// otherwise).
-fn kernel_throughput(kind: WalkKind, d: usize, reps: usize) -> (f64, f64, Option<f64>) {
-    // The kernel rows feed the recorded speedup claim, so their best-of
-    // needs more samples than the harness timings to converge — on a
-    // shared vCPU a noisy-neighbor burst can poison several consecutive
-    // reps, and only a wide best-of window reliably straddles it.
+/// Walk-kernel throughput: the per-word reference loop vs the cohort
+/// kernel stepping a `COHORT`-walker node-ordered cohort on a degree-`d`
+/// expander, best of `reps` timed blocks of `ITERS` rounds each. Returns
+/// steps/sec `(per_word, cohort)` and panics unless both land every
+/// walker on the same node.
+fn kernel_throughput(kind: WalkKind, d: usize, reps: usize) -> (f64, f64) {
+    // The kernel rows feed the recorded ratio, so their best-of needs
+    // more samples than the harness timings to converge — on a shared
+    // vCPU a noisy-neighbor burst can poison several consecutive reps,
+    // and only a wide best-of window reliably straddles it.
     let reps = reps.max(41);
     const COHORT: usize = 1024;
     // Long enough that each timed block is a few milliseconds — at the
     // sub-millisecond block sizes a scheduler blip skews a whole rep.
-    const ITERS: usize = 2500;
+    const ITERS: u64 = 2500;
     let mut rng = SmallRng::seed_from_u64(0xE1);
     let g = random_regular(1024, d, &mut rng).expect("regular graph");
     let starts: Vec<NodeId> = (0..COHORT as u32).collect();
-    let steps = (COHORT * ITERS) as f64;
+    let steps = COHORT as f64 * ITERS as f64;
+    // One timed block: every round restarts from the sorted cohort, as
+    // each protocol round does. Returns seconds and a position checksum.
+    let block = |step: fn(&Graph, WalkKind, &mut [NodeId], u64)| {
+        let mut positions = starts.clone();
+        let mut checksum = 0u64;
+        let t = Instant::now();
+        for round in 0..ITERS {
+            positions.copy_from_slice(&starts);
+            step(&g, kind, &mut positions, mix_pair(7, round));
+            checksum = checksum.wrapping_add(positions[round as usize % COHORT] as u64);
+        }
+        (t.elapsed().as_secs_f64(), checksum)
+    };
 
-    let mut best_scalar = f64::INFINITY;
-    let mut best_batched = f64::INFINITY;
-    let mut best_fused = f64::INFINITY;
+    let mut best_per_word = f64::INFINITY;
+    let mut best_cohort = f64::INFINITY;
     for _ in 0..reps {
-        let mut positions = starts.clone();
-        let mut r = SmallRng::seed_from_u64(7);
-        let t = Instant::now();
-        for _ in 0..ITERS {
-            step_batch_scalar(&g, kind, &mut positions, &mut r);
-        }
-        best_scalar = best_scalar.min(t.elapsed().as_secs_f64());
-
-        let mut positions = starts.clone();
-        let mut r = SmallRng::seed_from_u64(7);
-        let mut kernel = BatchWalker::new();
-        let t = Instant::now();
-        for _ in 0..ITERS {
-            kernel.step_batch(&g, kind, &mut positions, &mut r);
-        }
-        best_batched = best_batched.min(t.elapsed().as_secs_f64());
-
-        if kind == WalkKind::Lazy {
-            let mut positions = starts.clone();
-            let mut r = SmallRng::seed_from_u64(7);
-            let t = Instant::now();
-            for _ in 0..ITERS {
-                step_lazy_fused_reference(&g, &mut positions, &mut r);
-            }
-            best_fused = best_fused.min(t.elapsed().as_secs_f64());
-        }
+        let (secs, reference) = block(step_cohort_per_word);
+        best_per_word = best_per_word.min(secs);
+        let (secs, kernel) = block(step_cohort);
+        best_cohort = best_cohort.min(secs);
+        assert_eq!(kernel, reference, "step_cohort diverged from the per-word law");
     }
-    let fused = (kind == WalkKind::Lazy).then(|| steps / best_fused);
-    (steps / best_scalar, steps / best_batched, fused)
+    (steps / best_per_word, steps / best_cohort)
 }
 
 /// Render one kernel comparison as a JSON object body.
 fn kernel_json(kind: WalkKind, d: usize, reps: usize) -> String {
-    let (scalar, batched, fused) = kernel_throughput(kind, d, reps);
-    let fused_keys = match fused {
-        Some(f) => format!(
-            "\n    \"fused_steps_per_sec\": {f:.0},\n    \
-             \"speedup_widelane_vs_fused\": {:.3},",
-            batched / f,
-        ),
-        None => String::new(),
-    };
+    let (per_word, cohort) = kernel_throughput(kind, d, reps);
     format!(
         "{{\n    \"graph\": \"random_regular_n1024_d{d}\",\n    \"walk\": \"{}\",\n    \
-         \"cohort\": 1024,\n    \"scalar_steps_per_sec\": {scalar:.0},\n    \
-         \"batched_steps_per_sec\": {batched:.0},{fused_keys}\n    \
-         \"speedup_batched_vs_scalar\": {:.3}\n  }}",
+         \"cohort\": 1024,\n    \"per_word_steps_per_sec\": {per_word:.0},\n    \
+         \"cohort_steps_per_sec\": {cohort:.0},\n    \
+         \"speedup_cohort_vs_per_word\": {:.3}\n  }}",
         kind.label(),
-        batched / scalar,
+        cohort / per_word,
     )
 }
 
@@ -198,8 +176,7 @@ fn main() {
 
     // Kernel micro-benches run first, before the saturating pool
     // benchmarks: tens of seconds of all-core load drain the sustained
-    // turbo budget, which taxes the vector-heavy wide-lane variant more
-    // than the scalar ones and would skew the recorded ratio.
+    // turbo budget and would skew the recorded rates.
     let kernel_max_degree_d8 = kernel_json(WalkKind::MaxDegree, 8, reps);
     let kernel_max_degree = kernel_json(WalkKind::MaxDegree, 16, reps);
     let kernel_lazy_d8 = kernel_json(WalkKind::Lazy, 8, reps);

@@ -2,52 +2,11 @@
 //! `harness_smoke` CI binary, so both measure the same thing.
 
 use rand::rngs::SmallRng;
-use rand::{lemire_u64, Rng, SeedableRng};
+use rand::SeedableRng;
 use tlb_core::placement::Placement;
 use tlb_core::user_protocol::{run_user_controlled, UserControlledConfig};
 use tlb_core::weights::WeightSpec;
 use tlb_experiments::harness::{self, trial_seed};
-
-/// The PR 4 fused lazy kernel, replayed verbatim as the wide-lane
-/// kernel's perf baseline: one single-stream word per walker drawn
-/// inline (the serial xoshiro dependency chain the lane-striped
-/// generator removes), fused coin + Lemire slot, affine gather on
-/// regular graphs, branchless select. Draws `positions.len()` words from
-/// `rng` — the historical stream shape, NOT the current one-parent-word
-/// contract, which is exactly why it lives here and not in `tlb-walks`.
-pub fn step_lazy_fused_reference<R: Rng + ?Sized>(
-    g: &tlb_graphs::Graph,
-    positions: &mut [tlb_graphs::NodeId],
-    rng: &mut R,
-) {
-    let d = g.max_degree() as u64;
-    if d == 0 {
-        for _ in positions.iter() {
-            rng.next_u64();
-        }
-        return;
-    }
-    if d > 0 && g.is_regular() {
-        let flat = g.neighbors_flat();
-        let du = d as usize;
-        for v in positions.iter_mut() {
-            let word = rng.next_u64();
-            let slot = lemire_u64(word << 1, d) as usize;
-            let dest = flat[*v as usize * du + slot];
-            let mask = ((word >> 63) as tlb_graphs::NodeId).wrapping_neg();
-            *v = dest ^ ((dest ^ *v) & mask);
-        }
-    } else {
-        for v in positions.iter_mut() {
-            let word = rng.next_u64();
-            let slot = lemire_u64(word << 1, d) as usize;
-            let nbrs = g.neighbors(*v);
-            let dest = if slot < nbrs.len() { nbrs[slot] } else { *v };
-            let mask = ((word >> 63) as tlb_graphs::NodeId).wrapping_neg();
-            *v = dest ^ ((dest ^ *v) & mask);
-        }
-    }
-}
 
 /// One user-controlled trial whose cost varies roughly 8x with the seed
 /// (200..=1600 tasks): the uneven fan-out the pool's chunk

@@ -52,10 +52,10 @@
 //!   generic over a statically known variant. All in-tree outcomes are
 //!   aliases of the unified [`protocol::ProtocolOutcome`];
 //! * **one round engine** — the shared machinery (cohort collection
-//!   buffers, cached `BatchWalker`, migration/potential/trace
-//!   accounting, completion detection) lives in
-//!   [`protocol::RoundEngine`]; a variant contributes only its departure
-//!   and movement rules between `begin_round` and `finish_round`.
+//!   buffers, migration/potential/trace accounting, completion
+//!   detection) lives in [`protocol::RoundEngine`]; a variant contributes
+//!   only its departure and movement rules between `begin_round` and
+//!   `finish_round`.
 //!
 //! **RNG-stream guarantee of the trait surface:** dispatching through
 //! `dyn Protocol` (or constructing through
@@ -71,18 +71,23 @@
 //! of this repository, runs are **bit-identical across
 //! `RAYON_NUM_THREADS` settings and across reruns** — the round loops
 //! draw from a single sequential RNG, and the experiment harness derives
-//! per-trial seeds independent of scheduling. The round loops sample
-//! through the batched kernel (`tlb_walks::BatchWalker` for walk steps,
-//! bulk destination words for the user protocol), which consumes the
-//! *same stream* the scalar reference would for max-degree and simple
-//! walks, and a fused one-word-per-step stream for lazy walks.
+//! per-trial seeds independent of scheduling.
+//!
+//! There is one walk stream. A walk stepper draws one word per round
+//! from its RNG, the round seed; every walk step of the round then takes
+//! the counter-based word `walk_word(round_seed, node, slot)` and maps it
+//! through the per-word law `walk_dest`, both in `tlb_walks::batch`, via
+//! the one cohort kernel `tlb_walks::step_cohort`. The online engine's
+//! sharded pass (`tlb_sim::shard`) uses the same kernel with round seeds
+//! derived from the epoch, so both engines follow one law. The user
+//! protocol draws bulk destination words instead of walk steps.
 //!
 //! **Not guaranteed:** stream stability across versions. A PR may change
-//! the draw count or order (this is exactly what the batched kernel did
-//! to the lazy walk and to the mixed protocol's coin/walk interleaving);
-//! it must then re-pin the golden outcome values once, justified by the
-//! chi-square distribution-equivalence tests in `tlb_walks::batch`, with
-//! the old values recorded in the test comment. See "Determinism & RNG
+//! the draw count or order (as the move to counter-based walk words did
+//! for every walk stepper); it must then re-pin the golden outcome
+//! values once, justified by the chi-square distribution-equivalence
+//! tests in `tlb_walks::batch`, with the old values recorded in the test
+//! comment. See "Determinism & RNG
 //! stream policy" in `vendor/README.md` for the full contract.
 //!
 //! ## Quickstart

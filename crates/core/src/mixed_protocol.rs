@@ -31,7 +31,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlb_graphs::{Graph, NodeId};
-use tlb_walks::WalkKind;
+use tlb_walks::{step_cohort, WalkKind};
 
 use crate::placement::Placement;
 use crate::protocol::{EngineStats, ProtocolOutcome, RoundEngine};
@@ -219,22 +219,21 @@ impl MixedStepper {
         // `new()` already rejects this, but `from_parts` has no graph and
         // the caller may swap in a churned graph between rounds — re-check
         // here (O(1): min_degree is cached) so an isolated node fails fast
-        // instead of panicking per-task deep in the batched kernel.
+        // instead of panicking per-task deep in the walk kernel.
         assert!(
             self.cfg.walk != WalkKind::Simple || g.min_degree() > 0,
             "WalkKind::Simple is undefined on isolated nodes; this graph has one"
         );
         self.eng.begin_round();
+        // One word per round seeds the round's counter-based walk words;
+        // the departure coins follow it on the caller's stream.
+        let round_seed = rng.next_u64();
         let threshold = self.eng.threshold();
         let (alpha, w_max) = (self.cfg.alpha, self.w_max);
         let eng = &mut self.eng;
-        // Departure phase: collect the whole round's cohort first
-        // (`cohort[i]` leaves from `positions[i]`), then take one
-        // batched walk step for everyone. Under Bernoulli departures this
-        // draws all departure coins *before* any walk word — a different
-        // RNG interleaving than the old per-resource loop (same per-step
-        // law; see the stream policy in `tlb_core` docs), which is why
-        // the mixed goldens were re-pinned once for this version.
+        // Departure phase: collect the whole round's cohort in node order
+        // (`cohort[i]` leaves from `positions[i]`), then take one walk
+        // step for everyone.
         for r in 0..eng.stacks.len() as NodeId {
             let stack = &mut eng.stacks[r as usize];
             if !stack.is_overloaded(threshold) {
@@ -252,13 +251,7 @@ impl MixedStepper {
             }
             eng.positions.resize(eng.cohort.len(), r);
         }
-        // Degree-bucket the cohort for the kernel's benefit — Lazy only,
-        // for the same stream reasons as the resource stepper (lane
-        // words are index-assigned; MaxDegree keeps scalar parity).
-        if self.cfg.walk == WalkKind::Lazy {
-            eng.sort_cohort_by_degree(g);
-        }
-        eng.walker.step_batch(g, self.cfg.walk, &mut eng.positions, rng);
+        step_cohort(g, self.cfg.walk, &mut eng.positions, round_seed);
         eng.note_walk_batch(g, self.cfg.walk);
         // Arrival phase straight off the stepped cohort — the mixed
         // protocol has no shuffle ablation, so no materialized (task,

@@ -9,10 +9,10 @@
 //! rest of the system programs against:
 //!
 //! * [`RoundEngine`] — the shared round state every stepper embeds: the
-//!   per-resource stacks, weight vector, threshold, cached batched walk
-//!   kernel, reused round buffers, and the counters/series/trace. A
-//!   variant's `step` is `begin_round → (its departure + movement phases,
-//!   touching the engine's public buffers) → finish_round`.
+//!   per-resource stacks, weight vector, threshold, reused round buffers,
+//!   and the counters/series/trace. A variant's `step` is `begin_round →
+//!   (its departure + movement phases, touching the engine's public
+//!   buffers) → finish_round`.
 //! * [`ProtocolOutcome`] — the one outcome shape every run reports (the
 //!   per-variant outcome names are aliases of it).
 //! * [`Protocol`] — the **object-safe** stepping surface
@@ -45,7 +45,7 @@
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use tlb_graphs::{Graph, NodeId};
-use tlb_walks::{BatchWalker, WalkKind};
+use tlb_walks::WalkKind;
 
 use crate::mixed_protocol::{MixedConfig, MixedStepper};
 use crate::placement::Placement;
@@ -173,15 +173,12 @@ pub struct RoundEngine {
     pub stacks: Vec<ResourceStack>,
     /// Weight per task id.
     pub weights: Vec<f64>,
-    /// Batched walk kernel, cached for the whole run (topology is re-read
-    /// from the graph every step, so swapping graphs between rounds stays
-    /// sound).
-    pub walker: BatchWalker,
     /// Round buffer: the departing tasks of the current round, in
     /// ejection order. Cleared by [`begin_round`](Self::begin_round).
     pub cohort: Vec<TaskId>,
     /// Round buffer parallel to `cohort`: source positions going in, walk
-    /// destinations after a batched step. Cleared by `begin_round`.
+    /// destinations after [`tlb_walks::step_cohort`]. Cleared by
+    /// `begin_round`.
     pub positions: Vec<NodeId>,
     /// Round buffer: arrival task ids, parallel to
     /// [`pending_dests`](Self::pending_dests), for variants that
@@ -209,12 +206,6 @@ pub struct RoundEngine {
     potential_series: Vec<f64>,
     trace: Option<RoundTrace>,
     completed: bool,
-    /// Counting-sort scratch for [`sort_cohort_by_degree`]
-    /// (bucket cursors, then the sorted copies); reused across rounds so
-    /// steady-state sorting allocates nothing.
-    sort_counts: Vec<usize>,
-    sort_tasks: Vec<TaskId>,
-    sort_positions: Vec<NodeId>,
 }
 
 impl RoundEngine {
@@ -241,7 +232,6 @@ impl RoundEngine {
         RoundEngine {
             stacks,
             weights,
-            walker: BatchWalker::new(),
             cohort: Vec::new(),
             positions: Vec::new(),
             pending_tasks: Vec::new(),
@@ -256,56 +246,7 @@ impl RoundEngine {
             potential_series,
             trace,
             completed,
-            sort_counts: Vec::new(),
-            sort_tasks: Vec::new(),
-            sort_positions: Vec::new(),
         }
-    }
-
-    /// Reorder the round cohort (and its parallel source positions) by
-    /// ascending source degree — a stable counting sort, so entries
-    /// within one degree bucket keep their ejection order. On irregular
-    /// graphs this groups the batched kernel's work into
-    /// near-regular runs: the `slot < deg(v)` self-loop test in the lazy
-    /// path becomes predictable per bucket instead of per walker, and
-    /// neighbour-list lengths stop alternating between cache lines.
-    ///
-    /// On a regular graph (one bucket) the sort is the identity, so the
-    /// method returns without touching the buffers. Callers only invoke
-    /// it for [`WalkKind::Lazy`]: the lazy stream assigns lane words by
-    /// cohort *index*, so reordering moves which word each task gets —
-    /// fine under the re-pinned lazy stream, but it would break the
-    /// MaxDegree/Simple scalar-parity goldens, whose cohorts therefore
-    /// stay in ejection order.
-    pub fn sort_cohort_by_degree(&mut self, g: &Graph) {
-        debug_assert_eq!(self.cohort.len(), self.positions.len());
-        if g.is_regular() || self.cohort.len() <= 1 {
-            return;
-        }
-        let buckets = g.max_degree() as usize + 1;
-        self.sort_counts.clear();
-        self.sort_counts.resize(buckets, 0);
-        for &v in &self.positions {
-            self.sort_counts[g.degree(v)] += 1;
-        }
-        // Prefix sums turn the histogram into per-bucket write cursors.
-        let mut acc = 0usize;
-        for c in self.sort_counts.iter_mut() {
-            let n = *c;
-            *c = acc;
-            acc += n;
-        }
-        self.sort_tasks.resize(self.cohort.len(), 0);
-        self.sort_positions.resize(self.positions.len(), 0);
-        for i in 0..self.cohort.len() {
-            let v = self.positions[i];
-            let slot = self.sort_counts[g.degree(v)];
-            self.sort_counts[g.degree(v)] += 1;
-            self.sort_tasks[slot] = self.cohort[i];
-            self.sort_positions[slot] = v;
-        }
-        std::mem::swap(&mut self.cohort, &mut self.sort_tasks);
-        std::mem::swap(&mut self.positions, &mut self.sort_positions);
     }
 
     /// Whether every load is at most the threshold.
@@ -338,8 +279,8 @@ impl RoundEngine {
         self.stats
     }
 
-    /// Account one batched walk step of the current cohort (call right
-    /// after `walker.step_batch`): `positions.len()` steps, classified by
+    /// Account one walk step of the current cohort (call right after
+    /// [`tlb_walks::step_cohort`]): `positions.len()` steps, classified by
     /// walk kind and by whether the kernel's regular fast path applies.
     /// Reads only lengths and cached degree bounds — no RNG, no clock.
     pub fn note_walk_batch(&mut self, g: &Graph, kind: WalkKind) {
@@ -810,6 +751,52 @@ mod tests {
         let on_cycle = run_on(&tlb_graphs::generators::cycle(12));
         assert_eq!(on_complete, on_cycle);
         assert!(on_complete.balanced());
+    }
+
+    #[test]
+    fn walk_steppers_draw_one_round_seed_per_round() {
+        // The walk steppers take one word of the caller's stream per
+        // round, whatever the cohort size, walk kind or graph shape; every
+        // walk word derives from it. (Mixed runs AllActive here, where it
+        // draws no departure coins.)
+        use crate::mixed_protocol::{Departure, MixedConfig};
+        use rand::RngCore;
+        let tasks = TaskSet::new((0..120).map(|i| 1.0 + (i % 3) as f64).collect::<Vec<_>>());
+        let edgeless = tlb_graphs::GraphBuilder::new(3).build();
+        for g in [torus2d(4, 4), tlb_graphs::generators::star(16), edgeless] {
+            for walk in [WalkKind::MaxDegree, WalkKind::Lazy] {
+                let kinds = [
+                    ProtocolKind::Resource(ResourceControlledConfig {
+                        walk,
+                        max_rounds: 6,
+                        ..Default::default()
+                    }),
+                    ProtocolKind::Mixed(MixedConfig {
+                        walk,
+                        departure: Departure::AllActive,
+                        max_rounds: 6,
+                        ..Default::default()
+                    }),
+                ];
+                for kind in kinds {
+                    let mut r = rng(3);
+                    let mut s = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
+                    let mut reference = r.clone();
+                    s.run(&g, &mut r);
+                    assert!(s.rounds() > 0);
+                    for _ in 0..s.rounds() {
+                        reference.next_u64();
+                    }
+                    assert_eq!(
+                        r,
+                        reference,
+                        "{} {walk:?} on {} nodes",
+                        kind.label(),
+                        g.num_nodes()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlb_graphs::{Graph, NodeId};
-use tlb_walks::WalkKind;
+use tlb_walks::{step_cohort, WalkKind};
 
 use crate::placement::Placement;
 use crate::protocol::{EngineStats, ProtocolOutcome, RoundEngine};
@@ -209,19 +209,19 @@ impl ResourceControlledStepper {
         // `new()` already rejects this, but `from_parts` has no graph and
         // the caller may swap in a churned graph between rounds — re-check
         // here (O(1): min_degree is cached) so an isolated node fails fast
-        // instead of panicking per-task deep in the batched kernel.
+        // instead of panicking per-task deep in the walk kernel.
         assert!(
             self.cfg.walk != WalkKind::Simple || g.min_degree() > 0,
             "WalkKind::Simple is undefined on isolated nodes; this graph has one"
         );
         self.eng.begin_round();
+        // One word per round seeds the round's counter-based walk words.
+        let round_seed = rng.next_u64();
         let threshold = self.eng.threshold();
         let eng = &mut self.eng;
         // Removal phase: every overloaded resource ejects I_a ∪ I_c into
-        // the round cohort (`cohort[i]` departs from `positions[i]`).
-        // Removal consumes no RNG, so collecting the whole round before
-        // stepping leaves the draw sequence identical to the old
-        // per-resource interleaving.
+        // the round cohort (`cohort[i]` departs from `positions[i]`), in
+        // node order.
         for r in 0..eng.stacks.len() as NodeId {
             if eng.stacks[r as usize].is_overloaded(threshold) {
                 eng.stacks[r as usize].remove_active_into(threshold, &eng.weights, &mut eng.cohort);
@@ -229,17 +229,8 @@ impl ResourceControlledStepper {
                 eng.positions.resize(eng.cohort.len(), r);
             }
         }
-        // Cache-conscious layout: group the cohort by source degree so
-        // the batched kernel's irregular path runs in near-regular
-        // bucket runs. Lazy only — its lane words are assigned by cohort
-        // index under the re-pinned wide stream; MaxDegree/Simple keep
-        // ejection order so their scalar-parity goldens stay
-        // byte-identical.
-        if self.cfg.walk == WalkKind::Lazy {
-            eng.sort_cohort_by_degree(g);
-        }
-        // Walk phase: the whole cohort takes one batched step.
-        eng.walker.step_batch(g, self.cfg.walk, &mut eng.positions, rng);
+        // Walk phase: the whole cohort takes one step.
+        step_cohort(g, self.cfg.walk, &mut eng.positions, round_seed);
         eng.note_walk_batch(g, self.cfg.walk);
         eng.pending_tasks.clear();
         eng.pending_tasks.extend_from_slice(&eng.cohort);

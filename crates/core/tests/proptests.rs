@@ -158,91 +158,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Wide-lane kernel layout properties: degree-bucketed cohort sorting and
-// the SoA fragment surface.
+// The SoA fragment surface.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Degree-bucketed cohort sorting is a pure permutation of the
-    /// (task, source) pairs — stable within each degree bucket, ordered
-    /// by ascending source degree — and it does not change the *set* of
-    /// moves the lazy word law produces when each task keeps its own
-    /// word: sorted and unsorted cohorts yield the same multiset of
-    /// (task, destination) pairs on irregular graphs.
-    #[test]
-    fn cohort_degree_sort_is_a_stable_permutation(
-        n in 4usize..32,
-        cohort_len in 1usize..200,
-        p in 0.1f64..0.9,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let g = generators::erdos_renyi(n, p, &mut rng).unwrap();
-        prop_assume!(g.max_degree() > 0);
-
-        // A cohort with repeated sources and arbitrary task ids.
-        let positions: Vec<u32> =
-            (0..cohort_len).map(|_| rng.gen_range(0..n as u32)).collect();
-        let cohort: Vec<u32> = (0..cohort_len as u32).collect();
-
-        let mut eng = tlb_core::protocol::RoundEngine::new(
-            vec![tlb_core::stack::ResourceStack::new()],
-            vec![],
-            1.0,
-            1,
-            false,
-            false,
-        );
-        eng.cohort = cohort.clone();
-        eng.positions = positions.clone();
-        eng.sort_cohort_by_degree(&g);
-
-        // Permutation: same multiset of (task, source) pairs.
-        let mut before: Vec<(u32, u32)> =
-            cohort.iter().copied().zip(positions.iter().copied()).collect();
-        let mut after: Vec<(u32, u32)> =
-            eng.cohort.iter().copied().zip(eng.positions.iter().copied()).collect();
-        before.sort_unstable();
-        after.sort_unstable();
-        prop_assert_eq!(&before, &after, "sorting must permute, not rewrite");
-
-        // Ordered by ascending degree, stable within a bucket (task ids
-        // were assigned in cohort order, so within equal degree they must
-        // stay increasing).
-        for w in eng.positions.windows(2) {
-            prop_assert!(g.degree(w[0]) <= g.degree(w[1]), "not degree-sorted");
-        }
-        for i in 1..eng.positions.len() {
-            if g.degree(eng.positions[i - 1]) == g.degree(eng.positions[i]) {
-                prop_assert!(
-                    eng.cohort[i - 1] < eng.cohort[i],
-                    "counting sort must be stable within a degree bucket"
-                );
-            }
-        }
-
-        // Same moves: give every task a fixed word of its own (keyed by
-        // task id, not cohort index) and apply the lazy word law to the
-        // sorted and unsorted orders — the multiset of (task,
-        // destination) moves must coincide.
-        let word_of = |t: u32| -> u64 {
-            (t as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ seed
-        };
-        let mut dest_unsorted = positions.clone();
-        let words: Vec<u64> = cohort.iter().map(|&t| word_of(t)).collect();
-        tlb_walks::step_lazy_with_words(&g, &mut dest_unsorted, &words);
-        let mut dest_sorted = eng.positions.clone();
-        let words: Vec<u64> = eng.cohort.iter().map(|&t| word_of(t)).collect();
-        tlb_walks::step_lazy_with_words(&g, &mut dest_sorted, &words);
-        let mut moves_unsorted: Vec<(u32, u32)> =
-            cohort.iter().copied().zip(dest_unsorted).collect();
-        let mut moves_sorted: Vec<(u32, u32)> =
-            eng.cohort.iter().copied().zip(dest_sorted).collect();
-        moves_unsorted.sort_unstable();
-        moves_sorted.sort_unstable();
-        prop_assert_eq!(moves_unsorted, moves_sorted);
-    }
 
     /// `StackFragment::split` then `join` round-trips the SoA stepper
     /// state bit-identically at every shard count — loads, task order

@@ -41,14 +41,12 @@ use tlb_graphs::Graph;
 /// derive deterministic abort bounds from it).
 pub const STREAM_CHANNEL_CAPACITY: usize = 256;
 
-/// Derive the seed of trial `index` from a base seed (splitmix64 over the
-/// pair, so neighbouring trials get decorrelated streams).
+/// Derive the seed of trial `index` from a base seed: the workspace's one
+/// splitmix pair mix ([`tlb_walks::mix_pair`]), so neighbouring trials
+/// get decorrelated streams.
 #[inline]
 pub fn trial_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    tlb_walks::mix_pair(base, index)
 }
 
 /// Run `trials` independent trials in parallel; `f(seed)` must be a pure

@@ -46,34 +46,40 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Check the parameters, so a bad config literal fails at engine
-    /// construction instead of at the first in-window sample.
+    /// Check the parameters, so a bad config literal (or a corrupt
+    /// snapshot) fails at engine construction or restore instead of at
+    /// the first in-window sample.
     ///
-    /// # Panics
-    /// If a Poisson rate is non-positive or non-finite, or a period is
-    /// zero.
-    pub fn validate(&self) {
+    /// # Errors
+    /// If a Poisson rate is non-positive or non-finite, a bursty rate is
+    /// negative or non-finite, or a period is zero.
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
             ArrivalProcess::Off => {}
             ArrivalProcess::Poisson { rate } => {
-                assert!(
-                    rate.is_finite() && rate > 0.0,
-                    "arrival rate must be positive and finite, got {rate}"
-                );
+                if !(rate.is_finite() && rate > 0.0) {
+                    return Err(format!("arrival rate must be positive and finite, got {rate}"));
+                }
             }
             ArrivalProcess::Batched { every, .. } => {
-                assert!(every >= 1, "batch period must be >= 1");
+                if every == 0 {
+                    return Err("batch period must be >= 1".to_string());
+                }
             }
             ArrivalProcess::Bursty { base, burst, period, .. } => {
-                assert!(period >= 1, "burst period must be >= 1");
+                if period == 0 {
+                    return Err("burst period must be >= 1".to_string());
+                }
                 for (name, rate) in [("base", base), ("burst", burst)] {
-                    assert!(
-                        rate.is_finite() && rate >= 0.0,
-                        "{name} rate must be non-negative and finite, got {rate}"
-                    );
+                    if !(rate.is_finite() && rate >= 0.0) {
+                        return Err(format!(
+                            "{name} rate must be non-negative and finite, got {rate}"
+                        ));
+                    }
                 }
             }
         }
+        Ok(())
     }
 
     /// Sample the number of arrivals for `epoch`.
@@ -142,11 +148,14 @@ pub enum ArrivalPlacement {
 impl ArrivalPlacement {
     /// Check the parameters (see [`ArrivalProcess::validate`]).
     ///
-    /// # Panics
+    /// # Errors
     /// If an adaptive spread is zero.
-    pub fn validate(&self) {
-        if let ArrivalPlacement::Adaptive { spread } = *self {
-            assert!(spread >= 1, "adaptive spread must be >= 1");
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ArrivalPlacement::Adaptive { spread: 0 } => {
+                Err("adaptive spread must be >= 1".to_string())
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -175,16 +184,18 @@ pub enum ArrivalWeights {
 impl ArrivalWeights {
     /// Check the parameters (see [`ArrivalProcess::validate`]).
     ///
-    /// # Panics
+    /// # Errors
     /// If a bound violates the `w_min = 1` normalization or a Pareto
     /// shape is non-positive.
-    pub fn validate(&self) {
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
-            ArrivalWeights::Unit => {}
-            ArrivalWeights::UniformRange { hi } => assert!(hi >= 1.0, "hi must be >= 1, got {hi}"),
-            ArrivalWeights::ParetoTruncated { alpha, cap } => {
-                assert!(alpha > 0.0 && cap >= 1.0, "invalid Pareto parameters ({alpha}, {cap})");
+            ArrivalWeights::UniformRange { hi } if hi.is_nan() || hi < 1.0 => {
+                Err(format!("hi must be >= 1, got {hi}"))
             }
+            ArrivalWeights::ParetoTruncated { alpha, cap } if !(alpha > 0.0 && cap >= 1.0) => {
+                Err(format!("invalid Pareto parameters ({alpha}, {cap})"))
+            }
+            _ => Ok(()),
         }
     }
 

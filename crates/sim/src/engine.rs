@@ -28,9 +28,11 @@
 //! rooted at [`crate::shard::rebalance_seed`]`(base_seed, e)` — a pure
 //! function of `(seed, epoch, round, node, slot)` — which is what keeps
 //! a run bit-identical across `RAYON_NUM_THREADS` **and** across shard
-//! counts (see `crate::shard` for the law and its chi-square pin).
-//! Mixed/baseline passes consume the epoch RNG sequentially, exactly as
-//! before the split.
+//! counts. The law is the workspace's one walk kernel,
+//! `tlb_walks::step_cohort` (chi-square-pinned in `tlb_walks::batch`).
+//! Mixed/baseline passes consume the epoch RNG sequentially; the mixed
+//! pass draws one round seed per round from it and walks through the
+//! same kernel.
 //!
 //! ## Observability
 //!
@@ -72,15 +74,12 @@ use crate::snapshot::{SimSnapshot, SNAPSHOT_VERSION};
 use crate::state::SimState;
 use crate::tenants::{TenantSet, TenantSpec};
 
-/// Derive epoch `e`'s seed from the base seed (splitmix64 over the pair,
-/// the same mix `tlb-experiments::harness::trial_seed` uses for trials,
-/// so neighbouring epochs get decorrelated streams).
+/// Derive epoch `e`'s seed from the base seed: the workspace's one
+/// splitmix pair mix ([`tlb_walks::mix_pair`]), so neighbouring epochs
+/// get decorrelated streams.
 #[inline]
 pub fn epoch_seed(base: u64, epoch: u64) -> u64 {
-    let mut z = base ^ epoch.wrapping_mul(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    tlb_walks::mix_pair(base, epoch)
 }
 
 /// Which protocol the per-epoch rebalancing pass runs.
@@ -291,12 +290,10 @@ impl OnlineSim {
         }
     }
 
-    /// Parameters come from config literals, so reject bad ones up front
-    /// instead of panicking deep inside a sampler mid-run.
-    ///
-    /// # Panics
-    /// Via the arrival/weight sub-validators on malformed distribution
-    /// literals (those have no `Result` surface).
+    /// Parameters come from config literals or snapshots, so reject bad
+    /// ones up front instead of panicking deep inside a sampler mid-run.
+    /// The one config check behind [`new`](Self::new),
+    /// [`restore`](Self::restore) and [`reconfigure`](Self::reconfigure).
     fn try_validate(cfg: &SimConfig) -> Result<(), String> {
         if !(0.0..1.0).contains(&cfg.departure_prob) {
             return Err(format!("departure_prob must be in [0, 1), got {}", cfg.departure_prob));
@@ -329,9 +326,10 @@ impl OnlineSim {
             }
         }
         cfg.admission.validate()?;
-        cfg.arrivals.validate();
-        cfg.arrival_weights.validate();
-        cfg.arrival_placement.validate();
+        cfg.arrivals.validate()?;
+        cfg.arrival_weights.validate()?;
+        cfg.arrival_placement.validate()?;
+        TenantSet::validate_specs(&cfg.tenants)?;
         if cfg.shards == 0 {
             return Err("shards must be >= 1".to_string());
         }
@@ -677,11 +675,21 @@ impl OnlineSim {
             snap.free_ids.len(),
             snap.weights.len()
         );
+        let num_tenants = snap.config.tenants.len();
         for &t in snap.stacks.iter().flat_map(|s| s.tasks()) {
             anyhow::ensure!(
                 (t as usize) < snap.weights.len(),
                 "stacked task id {t} outside the {}-slot table",
                 snap.weights.len()
+            );
+            let (w, tenant) = (snap.weights[t as usize], snap.tenant_of[t as usize]);
+            anyhow::ensure!(
+                w.is_finite() && w > 0.0,
+                "stacked task {t} has weight {w}; weights must be positive and finite"
+            );
+            anyhow::ensure!(
+                (tenant as usize) < num_tenants,
+                "stacked task {t} belongs to tenant {tenant}, but only {num_tenants} are configured"
             );
         }
         let tenants = TenantSet::new(snap.config.tenants.clone());

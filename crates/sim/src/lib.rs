@@ -36,7 +36,8 @@
 //! each epoch's churn/departure/arrival draws come from its own
 //! [`epoch_seed`]-derived sequential RNG, and the sharded pass draws
 //! counter-based walk words that are a pure function of
-//! `(seed, epoch, round, node, slot)` — see [`shard`] for the law.
+//! `(seed, epoch, round, node, slot)` — see [`shard`] and
+//! `tlb_walks::batch` for the law.
 //!
 //! ## Service mode: checkpoint/restore and streaming metrics
 //!

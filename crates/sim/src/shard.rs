@@ -22,20 +22,19 @@
 //! ## Determinism: counter-based walk words
 //!
 //! Parallel shards cannot share a sequential RNG without making the
-//! stream depend on scheduling. Instead, the walk word of the ejected
-//! task with per-source slot `s` on node `v` in round `r` is the
-//! *counter-based* draw `mix(mix(stream_seed, r), v · 2³² + s)` where
-//! `mix` is the engine's splitmix64 [`epoch_seed`] finalizer — a pure
+//! stream depend on scheduling. Instead, each shard steps its cohort with
+//! the workspace's one walk kernel, [`tlb_walks::step_cohort`]: the walk
+//! word of the ejected task with per-source slot `s` on node `v` in
+//! round `r` is the counter-based [`walk_word`]`(epoch_seed(stream_seed,
+//! r), v, s)`, mapped to a destination by [`walk_dest`] — a pure
 //! function of `(stream_seed, r, v, s)`, independent of shard count,
-//! thread count, and scheduling order. The word is mapped to a
-//! destination by [`walk_dest`], which reproduces the batched kernel's
-//! one-word-per-walker law (`tlb_walks::BatchWalker`) bit for bit: the
-//! same Lemire widening multiply for the slot, the same top-bit fused
-//! stay-coin for the lazy walk. Distribution equivalence against the
-//! exact transition matrix is chi-square-pinned in this module's tests —
-//! the justification, per the repo's RNG stream policy, for the one-time
-//! golden re-pin that moving the online resource-policy path onto this
-//! engine required.
+//! thread count, and scheduling order. The sequential steppers of
+//! `tlb-core` step their cohorts through the same kernel, so the engine
+//! at any shard count reproduces `ResourceControlledStepper` fed the same
+//! round seeds (pinned round by round by this module's cross-engine
+//! test); the law's chi-square pin against the exact transition matrix
+//! lives in `tlb_walks::batch`, and this module's tests pin the words
+//! the engine derives from its `epoch_seed` round seeds the same way.
 //!
 //! Because every phase is a pure function of the phase inputs and the
 //! rayon shim's `collect` preserves input order, a run is bit-identical
@@ -49,7 +48,7 @@ use tlb_core::fragment::StackFragment;
 use tlb_core::stack::ResourceStack;
 use tlb_core::task::TaskId;
 use tlb_graphs::{Graph, NodeId, Partition};
-use tlb_walks::WalkKind;
+use tlb_walks::{step_cohort, WalkKind};
 
 use crate::engine::epoch_seed;
 
@@ -65,59 +64,9 @@ pub fn rebalance_seed(base_seed: u64, epoch: u64) -> u64 {
     epoch_seed(epoch_seed(base_seed, epoch), REBALANCE_STREAM_TAG)
 }
 
-/// The counter-based walk word for the ejected task with per-source slot
-/// index `slot` on node `v` under `round_seed` (see the module docs).
-/// Slot indices count a node's ejections within one round bottom-to-top.
-#[inline]
-pub fn walk_word(round_seed: u64, v: NodeId, slot: u64) -> u64 {
-    debug_assert!(slot < u32::MAX as u64, "per-node ejection slot overflowed u32");
-    epoch_seed(round_seed, ((v as u64) << 32) | slot)
-}
-
-/// Map one walk word to a destination — the batched kernel's per-word
-/// law (`tlb_walks::BatchWalker::step_batch`), bit for bit:
-///
-/// * **max-degree**: `slot = lemire(word, Δ)`; move to `neighbors(v)[slot]`
-///   if in range, else the `(Δ − deg v)/Δ` self-loop mass stays;
-/// * **lazy**: top bit is the stay-coin; the remaining bits, re-aligned,
-///   drive the max-degree slot.
-///
-/// An edgeless graph (`Δ = 0`) always stays.
-///
-/// # Panics
-/// For [`WalkKind::Simple`] — undefined on the isolated nodes churn
-/// creates; the engine rejects it at config validation.
-#[inline]
-pub fn walk_dest(g: &Graph, kind: WalkKind, v: NodeId, word: u64) -> NodeId {
-    let d = g.max_degree() as u64;
-    if d == 0 {
-        return v;
-    }
-    match kind {
-        WalkKind::MaxDegree => {
-            let slot = rand::lemire_u64(word, d) as usize;
-            let nbrs = g.neighbors(v);
-            if slot < nbrs.len() {
-                nbrs[slot]
-            } else {
-                v
-            }
-        }
-        WalkKind::Lazy => {
-            if word >> 63 != 0 {
-                return v;
-            }
-            let slot = rand::lemire_u64(word << 1, d) as usize;
-            let nbrs = g.neighbors(v);
-            if slot < nbrs.len() {
-                nbrs[slot]
-            } else {
-                v
-            }
-        }
-        WalkKind::Simple => panic!("the simple walk cannot drive the sharded engine"),
-    }
-}
+/// The per-word walk law, re-exported from its home in `tlb-walks` so
+/// layer probes can time it next to the engine that uses it.
+pub use tlb_walks::batch::{walk_dest, walk_word};
 
 /// Per-pass observability for the sharded engine, collected only when
 /// [`ShardedEngine::enable_obs`] was called (a pass with obs off never
@@ -252,17 +201,10 @@ impl ShardedEngine {
             .map(|mut frag| {
                 let t0 = timed.then(Instant::now);
                 let mut cohort: Vec<TaskId> = Vec::new();
-                let mut sources: Vec<NodeId> = Vec::new();
-                frag.eject_overloaded(threshold, weights, &mut cohort, &mut sources);
-                let mut outbox = Vec::with_capacity(cohort.len());
-                let mut prev = NodeId::MAX;
-                let mut slot = 0u64;
-                for (&t, &v) in cohort.iter().zip(&sources) {
-                    slot = if v == prev { slot + 1 } else { 0 };
-                    prev = v;
-                    let dest = walk_dest(g, walk, v, walk_word(round_seed, v, slot));
-                    outbox.push((t, dest));
-                }
+                let mut positions: Vec<NodeId> = Vec::new();
+                frag.eject_overloaded(threshold, weights, &mut cohort, &mut positions);
+                step_cohort(g, walk, &mut positions, round_seed);
+                let outbox: Vec<(TaskId, NodeId)> = cohort.into_iter().zip(positions).collect();
                 let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 (frag, outbox, ns)
             })
@@ -351,60 +293,106 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{RngCore, SeedableRng};
-    use tlb_graphs::generators::{complete, star, torus2d};
-    use tlb_walks::{BatchWalker, TransitionMatrix};
-
-    /// An `RngCore` replaying a fixed word list — drives the real batched
-    /// kernel with chosen words to pin `walk_dest` to its per-word law.
-    struct FixedWords(Vec<u64>, usize);
-    impl RngCore for FixedWords {
-        fn next_u64(&mut self) -> u64 {
-            let w = self.0[self.1];
-            self.1 += 1;
-            w
-        }
-    }
+    use rand::RngCore;
+    use tlb_core::resource_protocol::{ResourceControlledConfig, ResourceControlledStepper};
+    use tlb_graphs::generators::{complete, lollipop, star, torus2d};
+    use tlb_walks::TransitionMatrix;
 
     #[test]
     fn walk_dest_matches_the_batched_kernel_per_word() {
-        // Irregular (star: hub 24, leaves 1) and regular (torus) graphs
-        // cover both kernel paths; a word sweep covers both coin halves.
-        //
-        // The max-degree kernel applies one caller word per walker, so
-        // `word` feeds `walk_dest` directly. The lazy kernel draws one
-        // *parent* word and fans it out through the lane-striped
-        // [`WideRng`] block; the word its mapping actually applies to
-        // walker 0 is the first word of that expansion, so the law is
-        // pinned against exactly that word.
+        // One engine round, replayed by hand through the per-word law:
+        // overloaded nodes eject in ascending order, the task with slot
+        // `s` on node `v` moves to walk_dest(walk_word(round 0 seed, v,
+        // s)), and arrivals stack in that order. Irregular (star) and
+        // regular (torus) graphs cover both kernel paths.
         for g in [star(25), torus2d(5, 5)] {
+            let n = g.num_nodes();
+            let (stacks, weights) = loaded_stacks(n, &[(0, 30), (3, 12), (7, 9)]);
             for kind in [WalkKind::MaxDegree, WalkKind::Lazy] {
-                for (i, v) in (0..g.num_nodes() as NodeId).enumerate() {
-                    let word = epoch_seed(0xD15EA5E, i as u64);
-                    let mut pos = vec![v];
-                    let mut rng = FixedWords(vec![word], 0);
-                    BatchWalker::new().step_batch(&g, kind, &mut pos, &mut rng);
-                    let applied = match kind {
-                        WalkKind::Lazy => {
-                            let mut lane0 = [0u64; 1];
-                            rand::rngs::WideRng::seed_from_u64(word).fill_u64(&mut lane0);
-                            lane0[0]
-                        }
-                        _ => word,
-                    };
-                    assert_eq!(
-                        walk_dest(&g, kind, v, applied),
-                        pos[0],
-                        "{kind:?} diverged from the kernel at {v} word {applied:#x}"
-                    );
+                let round_seed = epoch_seed(0xD15EA5E, 0);
+                let mut want = stacks.clone();
+                let mut moves = Vec::new();
+                for v in 0..n as NodeId {
+                    let mut ejected = Vec::new();
+                    want[v as usize].remove_active_into(4.0, &weights, &mut ejected);
+                    for (slot, t) in ejected.into_iter().enumerate() {
+                        moves.push((
+                            t,
+                            walk_dest(&g, kind, v, walk_word(round_seed, v, slot as u64)),
+                        ));
+                    }
+                }
+                for &(t, dest) in &moves {
+                    want[dest as usize].push(t, weights[t as usize]);
+                }
+                for k in [1usize, 3] {
+                    let p = Partition::contiguous(n, k);
+                    let mut eng = ShardedEngine::from_parts(stacks.clone(), p, 4.0, kind, 1);
+                    eng.run(&g, &weights, 0xD15EA5E);
+                    assert_eq!(eng.migrations(), moves.len() as u64);
+                    assert_eq!(eng.into_parts(), want, "{kind:?} at {k} shards");
                 }
             }
         }
     }
 
-    /// Chi-square pin (the re-pin justification per the stream policy):
-    /// counter-based words drive `walk_dest` to the exact one-step
-    /// transition law, just as the sequential stream does.
+    /// Replays the round seeds `epoch_seed(stream_seed, r)` for r = 0, 1,
+    /// … — the seeds `ShardedEngine::run(.., stream_seed)` derives.
+    struct RoundSeeds(u64, u64);
+    impl RngCore for RoundSeeds {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            epoch_seed(self.0, self.1 - 1)
+        }
+    }
+
+    /// One law for both engines: `ResourceControlledStepper`, drawing its
+    /// round seeds from `RoundSeeds`, and the sharded engine produce the
+    /// same stacks, migrations and balance flag after every round, at
+    /// every shard count, on a regular and an irregular graph.
+    #[test]
+    fn sequential_stepper_and_sharded_engine_agree_round_by_round() {
+        let graphs = [
+            (torus2d(6, 6), vec![(0, 40), (17, 25), (35, 10)]),
+            (lollipop(12, 4).unwrap(), vec![(0, 30), (11, 12)]),
+        ];
+        for (g, load) in &graphs {
+            let n = g.num_nodes();
+            let (stacks, weights) = loaded_stacks(n, load);
+            let threshold = 1.3 * weights.iter().sum::<f64>() / n as f64 + 3.0;
+            for walk in [WalkKind::MaxDegree, WalkKind::Lazy] {
+                let cfg = ResourceControlledConfig { walk, ..Default::default() };
+                let mut stepper = ResourceControlledStepper::from_parts(
+                    stacks.clone(),
+                    weights.clone(),
+                    threshold,
+                    cfg,
+                );
+                let mut seeds = RoundSeeds(0x5EED, 0);
+                let mut rounds = 0u64;
+                while !stepper.is_done() && rounds < 300 {
+                    stepper.step(g, &mut seeds);
+                    rounds += 1;
+                    for k in [1usize, 2, 5] {
+                        let p = Partition::contiguous(n, k);
+                        let mut eng =
+                            ShardedEngine::from_parts(stacks.clone(), p, threshold, walk, rounds);
+                        eng.run(g, &weights, 0x5EED);
+                        let at = format!("{walk:?} n={n} shards={k} round {rounds}");
+                        assert_eq!(eng.rounds(), rounds, "{at}");
+                        assert_eq!(eng.migrations(), stepper.migrations(), "{at}");
+                        assert_eq!(eng.is_balanced(), stepper.is_balanced(), "{at}");
+                        assert_eq!(eng.into_parts(), stepper.stacks(), "{at}");
+                    }
+                }
+                assert!(stepper.is_balanced(), "{walk:?} n={n} did not balance");
+            }
+        }
+    }
+
+    /// Chi-square pin of the words this engine derives: counter-based
+    /// words under `epoch_seed` round seeds drive `walk_dest` to the
+    /// exact one-step transition law, just as the sequential stream does.
     #[test]
     fn counter_words_reproduce_the_transition_row() {
         let graphs: Vec<(&str, Graph, NodeId)> = vec![

@@ -40,19 +40,29 @@ pub struct TenantSet {
 }
 
 impl TenantSet {
+    /// Check a tenant list: non-empty, every share positive and finite.
+    ///
+    /// # Errors
+    /// Naming the first offending spec.
+    pub fn validate_specs(specs: &[TenantSpec]) -> Result<(), String> {
+        if specs.is_empty() {
+            return Err("need at least one tenant".to_string());
+        }
+        match specs.iter().find(|s| !(s.share.is_finite() && s.share > 0.0)) {
+            Some(s) => Err(format!("tenant {} has non-positive share {}", s.name, s.share)),
+            None => Ok(()),
+        }
+    }
+
     /// Build from specs; shares are normalized.
     ///
     /// # Panics
-    /// If `specs` is empty or any share is non-positive.
+    /// If [`validate_specs`](Self::validate_specs) rejects `specs`.
     pub fn new(specs: Vec<TenantSpec>) -> Self {
-        assert!(!specs.is_empty(), "need at least one tenant");
-        let total: f64 = specs
-            .iter()
-            .map(|s| {
-                assert!(s.share > 0.0, "tenant {} has non-positive share {}", s.name, s.share);
-                s.share
-            })
-            .sum();
+        if let Err(msg) = Self::validate_specs(&specs) {
+            panic!("{msg}");
+        }
+        let total: f64 = specs.iter().map(|s| s.share).sum();
         let mut acc = 0.0;
         let cumulative = specs
             .iter()

@@ -2,8 +2,9 @@
 //! invariance of whole churned runs, the fragment resume surface, and
 //! the service-mode checkpoint/restore contract.
 //!
-//! The unit tests in `tlb_sim::shard` pin the walk-word law against the
-//! batched kernel and chi-square the transition row; these properties
+//! The unit tests in `tlb_sim::shard` pin the engine against the
+//! per-word walk law and against the sequential stepper round by round
+//! (the law's chi-square pin lives in `tlb_walks::batch`); these properties
 //! check the *system-level* contract — a full `OnlineSim` run (arrivals,
 //! departures, scripted + stochastic churn) produces the identical
 //! report at every shard count, `from_parts`/`into_parts` is a lossless

@@ -81,3 +81,60 @@ fn current_snapshots_still_round_trip_at_version_2() {
     let back = SimSnapshot::from_json(&json).unwrap();
     assert_eq!(back, snap);
 }
+
+// Hostile snapshots: each mutation class below used to be accepted by
+// `restore` (or to panic inside it) and must now come back as `Err`.
+
+/// Restore a mutated copy of the fixture and return the error message.
+fn restore_err(mutate: impl FnOnce(&mut SimSnapshot)) -> String {
+    let mut snap = SimSnapshot::from_json(V1_FIXTURE).unwrap();
+    mutate(&mut snap);
+    match OnlineSim::restore(snap, complete(16)) {
+        Ok(_) => panic!("hostile snapshot was accepted"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// The id of some task that sits on a stack in the fixture.
+fn a_stacked_task(snap: &SimSnapshot) -> usize {
+    snap.stacks
+        .iter()
+        .flat_map(|s| s.tasks())
+        .next()
+        .copied()
+        .expect("fixture has tasks") as usize
+}
+
+#[test]
+fn restore_rejects_an_out_of_range_tenant_id() {
+    let err = restore_err(|snap| {
+        let t = a_stacked_task(snap);
+        snap.tenant_of[t] = snap.config.tenants.len() as u16;
+    });
+    assert!(err.contains("tenant"), "unhelpful error: {err}");
+}
+
+#[test]
+fn restore_rejects_non_positive_or_non_finite_stacked_weights() {
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let err = restore_err(|snap| {
+            let t = a_stacked_task(snap);
+            snap.weights[t] = bad;
+        });
+        assert!(err.contains("weight"), "unhelpful error for {bad}: {err}");
+    }
+}
+
+#[test]
+fn restore_rejects_a_zero_tenant_share() {
+    let err = restore_err(|snap| snap.config.tenants[1].share = 0.0);
+    assert!(err.contains("share"), "unhelpful error: {err}");
+}
+
+#[test]
+fn restore_rejects_a_zero_arrival_rate() {
+    let err = restore_err(|snap| {
+        snap.config.arrivals = tlb_sim::ArrivalProcess::Poisson { rate: 0.0 };
+    });
+    assert!(err.contains("rate"), "unhelpful error: {err}");
+}

@@ -1,319 +1,173 @@
-//! Batched walk-step kernel: advance a whole cohort of walkers per call.
+//! The walk-step law and the one cohort kernel that samples it.
 //!
-//! The protocol round loops move every ejected task one walk step per
-//! round — millions of steps per trial — so the kernel is built around
-//! two bandwidth ideas rather than per-step cleverness:
+//! Every protocol round moves each ejected task one step of the walk
+//! matrix `P`. Both round engines — the sequential steppers in `tlb-core`
+//! and the sharded online engine in `tlb-sim` — draw that step here, from
+//! one counter-based word stream:
 //!
-//! * **wide RNG lanes** — the lazy walk (the hot Table-1 configuration)
-//!   draws **one parent word per batch** from the caller's stream and
-//!   fans it out through [`rand::rngs::WideRng`]: [`rand::rngs::WIDE_LANES`]
-//!   interleaved xoshiro256++ streams stepped in lockstep (plain-array
-//!   SWAR, autovectorized — no intrinsics). The RNG dependency chain that
-//!   serialized PR 4's fused single pass (each xoshiro word depends on
-//!   the previous state) is now eight independent chains, so word
-//!   generation runs at vector throughput instead of scalar latency;
-//! * **a gather-style two-pass over the CSR** — the word block is
-//!   materialized first, then each lane-width row runs an address
-//!   mini-pass (all flat CSR indices of the row) followed by a load
-//!   mini-pass (nothing but independent gathers). With the address
-//!   arithmetic hoisted out of the load run, the out-of-order window
-//!   overlaps the row's irregular `neighbors_flat()` loads; keeping the
-//!   two passes row-granular (instead of block-granular) keeps the index
-//!   scratch in registers rather than bouncing it through L1. Slots on
-//!   power-of-two-degree graphs (the d8/d16/d64 expander sweeps) resolve
-//!   by shift instead of the Lemire widening multiply — same value
-//!   bit-for-bit.
+//! * [`walk_word`] — the word of the walker with per-source slot `s` on
+//!   node `v` in a round seeded `round_seed` is
+//!   `mix_pair(round_seed, v·2³² + s)`. Slots count a node's walkers
+//!   within the round, bottom to top. The word is a pure function of
+//!   `(round_seed, v, s)`, so it does not depend on cohort order, shard
+//!   count, thread count or scheduling;
+//! * [`walk_dest`] — the per-word law mapping a word to a destination
+//!   (one Lemire widening multiply for the slot; the lazy walk's
+//!   stay-coin is the word's top bit);
+//! * [`step_cohort`] — the kernel: one step for a whole cohort, bit for
+//!   bit `walk_dest(walk_word(..))` per walker. It hoists the
+//!   `(kind, regular)` dispatch out of the per-walker loop, resolves
+//!   regular graphs through the flat CSR arena (`offsets[v] = v·d`, no
+//!   bounds test on the row) and selects the lazy stay branchlessly (a
+//!   50/50 coin branch would mispredict half the time).
 //!
-//! The PR 4 wins are all retained: dispatch (walk kind, `max_degree`,
-//! regularity) is hoisted per cohort; the regular-graph fast path
-//! resolves affine offsets (`offsets[v] = v·d`) with no bounds test; the
-//! lazy coin stays fused into the top bit of the slot word with a
-//! branchless mask select. Cohorts sorted by degree (see
-//! `RoundEngine::sort_cohort_by_degree` in `tlb-core`) additionally make
-//! the irregular path's `slot < deg(v)` self-loop test run in
-//! near-uniform runs, so the one remaining data-dependent branch
-//! predicts per degree bucket instead of per walker.
+//! [`mix_pair`] is the one splitmix64 pair mix of the workspace: round
+//! seeds, epoch seeds (`tlb_sim::epoch_seed`) and trial seeds
+//! (`tlb_experiments::harness::trial_seed`) are all this function.
 //!
-//! Stream contract, relied on by the protocol goldens:
-//!
-//! * [`WalkKind::MaxDegree`] and [`WalkKind::Simple`] consume **exactly
-//!   the same RNG stream** as the scalar [`Walker`] stepping the same
-//!   positions in the same order: the word block is filled with
-//!   [`rand::RngCore::fill_u64`], which is word-for-word identical to
-//!   repeated `next_u64` (pinned in the `rand` shim), and each word maps
-//!   through the identical Lemire widening multiply
-//!   ([`rand::lemire_u64`]). Switching a round loop from scalar to
-//!   batched — or from the fused single pass to this gather kernel —
-//!   does not move those trajectories at all.
-//! * [`WalkKind::Lazy`] draws **one parent word per batch** (not per
-//!   walker): the parent word seeds a [`rand::rngs::WideRng`] whose
-//!   lane-striped block supplies one fused word per walker (top bit =
-//!   stay-coin, matching the scalar `gen::<bool>()` convention; the
-//!   remaining 63 bits, re-aligned to the top, drive the slot). The
-//!   per-walker stream is a pure function of the parent stream, and the
-//!   lane count is a fixed constant of the stream definition
-//!   ([`rand::rngs::WIDE_LANES`]), so trajectories stay bit-identical
-//!   across thread and shard counts and there is no lane-width tunable
-//!   to diverge on. Same per-step law as the scalar walk
-//!   (chi-square-pinned below), different stream — the documented
-//!   re-pin policy covers the one golden that moved.
-//!
-//! The kernel does not borrow the graph: round loops pass it into every
-//! call (the online simulation swaps churned snapshots between rounds)
-//! and all topology facts are re-read per call, so a cached kernel never
-//! holds stale state. It *does* own scratch (the word block — the
-//! row-granular gather indices live in registers), which is why the
-//! protocol steppers hold one
-//! kernel for the whole run: steady-state rounds allocate nothing.
+//! The kernel does not borrow the graph and owns no scratch: callers pass
+//! the graph into every call (the online simulation swaps churned
+//! snapshots between rounds) and all topology facts are re-read per call.
 
-use rand::rngs::WideRng;
-use rand::{lemire_u64, Rng, SeedableRng};
+use rand::lemire_u64;
 use tlb_graphs::{Graph, NodeId};
 
 use crate::transition::WalkKind;
-use crate::walker::Walker;
 
-/// Reusable batched one-step sampler (see module docs). Owns the word
-/// and gather scratch blocks, so the protocol steppers hold one for the
-/// whole run instead of rebuilding a scalar [`Walker`] every round; the
-/// buffers grow to the high-water cohort size and are reused from then
-/// on.
-#[derive(Debug, Clone, Default)]
-pub struct BatchWalker {
-    /// Per-walker word block: caller-stream words for MaxDegree/Simple,
-    /// lane-striped [`WideRng`] words for Lazy. (The gather index
-    /// scratch is row-granular and lives in registers — see
-    /// [`step_lazy_regular_rows`].)
-    words: Vec<u64>,
+/// splitmix64 over the pair `(seed, index)`: decorrelated 64-bit words
+/// for neighbouring indices of one seed. The single pair mix behind walk
+/// words, round, epoch and trial seeds.
+#[inline]
+pub fn mix_pair(seed: u64, index: u64) -> u64 {
+    let mut z = seed ^ index.wrapping_mul(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
 }
 
-impl BatchWalker {
-    /// New kernel handle.
-    pub fn new() -> Self {
-        BatchWalker::default()
-    }
+/// The counter-based walk word for the walker with per-source slot index
+/// `slot` on node `v` under `round_seed` (see the module docs).
+#[inline]
+pub fn walk_word(round_seed: u64, v: NodeId, slot: u64) -> u64 {
+    debug_assert!(slot < u32::MAX as u64, "per-node ejection slot overflowed u32");
+    mix_pair(round_seed, ((v as u64) << 32) | slot)
+}
 
-    /// Advance every position in `positions` by one step of `kind` on
-    /// `g`, in place, in cohort order.
-    ///
-    /// # Panics
-    /// For [`WalkKind::Simple`] if any position is an isolated node (the
-    /// simple walk is undefined there; the protocol steppers reject such
-    /// configurations at construction).
-    pub fn step_batch<R: Rng + ?Sized>(
-        &mut self,
-        g: &Graph,
-        kind: WalkKind,
-        positions: &mut [NodeId],
-        rng: &mut R,
-    ) {
-        if positions.is_empty() {
-            return;
-        }
-        let d = g.max_degree() as u64;
-        let regular = d > 0 && g.is_regular();
+/// Map one walk word to a destination — the per-word law every walk step
+/// in the workspace follows:
+///
+/// * **max-degree**: `slot = lemire(word, Δ)`; move to `neighbors(v)[slot]`
+///   if in range, else the `(Δ − deg v)/Δ` self-loop mass stays;
+/// * **lazy**: the top bit is the stay-coin; the remaining bits,
+///   re-aligned, drive the max-degree slot;
+/// * **simple**: `neighbors(v)[lemire(word, deg v)]`.
+///
+/// An edgeless graph (`Δ = 0`) always stays under max-degree and lazy.
+///
+/// # Panics
+/// For [`WalkKind::Simple`] on an isolated node (the simple walk is
+/// undefined there; the protocol steppers reject such configurations at
+/// construction).
+#[inline]
+pub fn walk_dest(g: &Graph, kind: WalkKind, v: NodeId, word: u64) -> NodeId {
+    let d = g.max_degree() as u64;
+    match kind {
+        WalkKind::MaxDegree if d > 0 => max_degree_dest(g, d, v, word),
+        WalkKind::Lazy if d > 0 => stay_select(v, max_degree_dest(g, d, v, word << 1), word),
+        WalkKind::MaxDegree | WalkKind::Lazy => v,
+        WalkKind::Simple => simple_dest(g, v, word),
+    }
+}
+
+/// Max-degree step from `v` on a graph of maximum degree `d > 0`.
+#[inline(always)]
+fn max_degree_dest(g: &Graph, d: u64, v: NodeId, word: u64) -> NodeId {
+    let slot = lemire_u64(word, d) as usize;
+    let nbrs = g.neighbors(v);
+    if slot < nbrs.len() {
+        nbrs[slot]
+    } else {
+        v
+    }
+}
+
+/// Simple-walk step from `v`: a uniform neighbour.
+#[inline(always)]
+fn simple_dest(g: &Graph, v: NodeId, word: u64) -> NodeId {
+    let nbrs = g.neighbors(v);
+    assert!(!nbrs.is_empty(), "simple walk undefined on isolated node {v}");
+    nbrs[lemire_u64(word, nbrs.len() as u64) as usize]
+}
+
+/// The lazy walk's branchless stay-select: `v` when the word's top bit is
+/// set, else `dest` (`mask` is all-ones when staying).
+#[inline(always)]
+fn stay_select(v: NodeId, dest: NodeId, word: u64) -> NodeId {
+    let mask = ((word >> 63) as NodeId).wrapping_neg();
+    dest ^ ((dest ^ v) & mask)
+}
+
+/// Advance every walker in `positions` by one step of `kind` on `g`, in
+/// place, with the words of the round seeded `round_seed`. Each walker
+/// moves to `walk_dest(g, kind, v, walk_word(round_seed, v, slot))`,
+/// where `slot` counts the walkers before it on the same source.
+///
+/// The cohort must be in node order — the ejection order of every round
+/// engine — so that each source's walkers are contiguous and get slots
+/// `0, 1, 2, …`.
+///
+/// # Panics
+/// For [`WalkKind::Simple`] if any position is an isolated node.
+pub fn step_cohort(g: &Graph, kind: WalkKind, positions: &mut [NodeId], round_seed: u64) {
+    debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]), "cohort must be in node order");
+    let d = g.max_degree() as u64;
+    if d > 0 && g.is_regular() {
+        let flat = g.neighbors_flat();
+        let du = d as usize;
         match kind {
             // On a d-regular graph the max-degree walk has no self-loop
             // mass and the simple walk draws from the same d slots, so
-            // the two kinds coincide — in law AND in stream (both map one
-            // word through lemire(·, d)).
-            WalkKind::MaxDegree | WalkKind::Simple if regular => {
-                self.words.resize(positions.len(), 0);
-                rng.fill_u64(&mut self.words);
-                let flat = g.neighbors_flat();
-                let du = d as usize;
-                // Single fused pass: the word block already broke the RNG
-                // dependency chain out of the loop, and the affine
-                // address arithmetic is cheap enough that a separate
-                // address pass only adds scratch traffic here (unlike the
-                // lazy arm below, where the coin select makes the split
-                // pay).
-                for (v, &w) in positions.iter_mut().zip(&self.words) {
-                    *v = flat[*v as usize * du + lemire_u64(w, d) as usize];
-                }
-            }
-            WalkKind::MaxDegree => {
-                if d == 0 {
-                    // Edgeless graph: every step is a self-loop and the
-                    // scalar path draws nothing — neither do we.
-                    return;
-                }
-                self.words.resize(positions.len(), 0);
-                rng.fill_u64(&mut self.words);
-                for (v, &w) in positions.iter_mut().zip(&self.words) {
-                    let slot = lemire_u64(w, d) as usize;
-                    let nbrs = g.neighbors(*v);
-                    // Slots beyond deg(v) are the self-loop mass (d−d_v)/d.
-                    if slot < nbrs.len() {
-                        *v = nbrs[slot];
-                    }
-                }
-            }
-            WalkKind::Lazy => {
-                // One parent word per batch, even when d == 0: the draw
-                // count is a function of the batch count alone, which
-                // keeps the caller stream aligned across graph shapes.
-                let parent = rng.next_u64();
-                if d == 0 {
-                    return;
-                }
-                self.words.resize(positions.len(), 0);
-                fill_lane_block(parent, &mut self.words);
-                if regular {
-                    step_lazy_regular_arm(g.neighbors_flat(), d, positions, &self.words);
-                } else {
-                    step_lazy_with_words(g, positions, &self.words);
-                }
-            }
-            WalkKind::Simple => {
-                // The slot range is deg(v), so the mapping cannot be
-                // hoisted out of the load loop; pre-filling the word
-                // block still strips the RNG chain out of it.
-                self.words.resize(positions.len(), 0);
-                rng.fill_u64(&mut self.words);
-                for (v, &w) in positions.iter_mut().zip(&self.words) {
-                    let nbrs = g.neighbors(*v);
-                    assert!(!nbrs.is_empty(), "simple walk undefined on isolated node {v}");
-                    *v = nbrs[lemire_u64(w, nbrs.len() as u64) as usize];
-                }
-            }
+            // the two kinds coincide word for word.
+            WalkKind::MaxDegree | WalkKind::Simple => map_cohort(positions, round_seed, |v, w| {
+                flat[v as usize * du + lemire_u64(w, d) as usize]
+            }),
+            WalkKind::Lazy => map_cohort(positions, round_seed, |v, w| {
+                stay_select(v, flat[v as usize * du + lemire_u64(w << 1, d) as usize], w)
+            }),
         }
-    }
-}
-
-/// Row width of the gather two-pass, matching the RNG lane count so one
-/// generated row is exactly one mapped row.
-const ROW: usize = rand::rngs::WIDE_LANES;
-
-/// Expand one parent word into a lane-striped word block:
-/// `WideRng::seed_from_u64(parent)` filled over `words`, exactly the
-/// stream the lazy goldens pin.
-///
-/// `#[inline(never)]` for the same reason as [`step_lazy_regular_rows`]:
-/// the seed expansion and the 8-wide fill stage loops only vectorize
-/// reliably when this is its own codegen unit, not merged into
-/// [`BatchWalker::step_batch`]'s body.
-#[inline(never)]
-fn fill_lane_block(parent: u64, words: &mut [u64]) {
-    let mut lanes = WideRng::seed_from_u64(parent);
-    lanes.fill_u64(words);
-}
-
-/// Degree-specialized address mapping for the regular-graph lazy arm.
-/// The expander degrees the experiments sweep are powers of two, where
-/// both halves of the flat address collapse to shifts: the slot because
-/// lemire(w << 1, 2^k) = (w << 1) >> (64 − k) bit-for-bit (k = 0 would
-/// shift by 64; d = 1 takes the generic arm, where the slot is always
-/// 0), and the row base because v·2^k = v << k — the vector multiply
-/// the generic arm pays (`vpmullq`, high latency) is the single most
-/// expensive op of the address pass.
-///
-/// The arena element stays `u32`: a half-width `u16` arena (halving the
-/// d16 expander's gather footprint from 64 KiB to 32 KiB) measured
-/// consistently *slower* end-to-end (~950M vs ~1050M steps/s, same
-/// binary, env-toggled) — the widening on every gathered element costs
-/// more than the L1 residency buys at these sizes.
-#[inline(always)]
-fn step_lazy_regular_arm(flat: &[NodeId], d: u64, positions: &mut [NodeId], words: &[u64]) {
-    if d.is_power_of_two() && d > 1 {
-        let sh = 64 - d.trailing_zeros();
-        let dsh = d.trailing_zeros();
-        step_lazy_regular_rows(flat, positions, words, |v, w| {
-            ((v as usize) << dsh) + ((w << 1) >> sh) as usize
-        });
-    } else {
-        let du = d as usize;
-        step_lazy_regular_rows(flat, positions, words, |v, w| {
-            v as usize * du + lemire_u64(w << 1, d) as usize
-        });
-    }
-}
-
-/// Gather-style two-pass mapping of the regular-graph lazy arm, one
-/// [`ROW`]-wide row at a time: an address mini-pass resolves every flat
-/// CSR index of the row (vectorizable — `addr` is a pure function of
-/// walker and word), then a load mini-pass issues the row's
-/// gathers back-to-back so the out-of-order window overlaps them, then
-/// the branchless coin select (`mask` = all-ones when staying — a 50/50
-/// coin branch would mispredict half the time). Row-granular scratch
-/// stays in registers; a full-block index buffer measured strictly
-/// slower (it re-pays the block through L1 twice).
-///
-/// `#[inline(never)]` keeps this loop in its own codegen unit, separate
-/// from the wide-lane fill in [`BatchWalker::step_batch`]: merged into
-/// one function body the autovectorizer reliably loses the fill's
-/// 8-wide stage loops (measured ~1.4× end-to-end), isolated it reliably
-/// keeps both.
-#[inline(never)]
-fn step_lazy_regular_rows(
-    flat: &[NodeId],
-    positions: &mut [NodeId],
-    words: &[u64],
-    addr: impl Fn(NodeId, u64) -> usize,
-) {
-    let mut pc = positions.chunks_exact_mut(ROW);
-    let mut wc = words.chunks_exact(ROW);
-    for (pv, wv) in (&mut pc).zip(&mut wc) {
-        let mut ix = [0usize; ROW];
-        for l in 0..ROW {
-            ix[l] = addr(pv[l], wv[l]);
-        }
-        let mut dv = [0 as NodeId; ROW];
-        for l in 0..ROW {
-            dv[l] = flat[ix[l]];
-        }
-        for l in 0..ROW {
-            let mask = ((wv[l] >> 63) as NodeId).wrapping_neg();
-            pv[l] = dv[l] ^ ((dv[l] ^ pv[l]) & mask);
-        }
-    }
-    for (v, &w) in pc.into_remainder().iter_mut().zip(wc.remainder()) {
-        let dest = flat[addr(*v, w)];
-        let mask = ((w >> 63) as NodeId).wrapping_neg();
-        *v = dest ^ ((dest ^ *v) & mask);
-    }
-}
-
-/// The deterministic mapping half of the lazy kernel: apply one fused
-/// lazy word per walker — top bit = stay-coin, `lemire(word << 1, d)` =
-/// slot, slots past `deg(v)` = self-loop — with the branchless select.
-/// This is the *law* of the lazy step as a pure function of its word;
-/// [`BatchWalker::step_batch`] generates the words (lane-striped from
-/// one parent draw) and defers to this mapping on irregular graphs,
-/// while tests and the cohort-sorting proptests in `tlb-core` inject
-/// fixed word blocks to check order-independence without touching an
-/// RNG.
-///
-/// # Panics
-/// If `words` is shorter than `positions`.
-pub fn step_lazy_with_words(g: &Graph, positions: &mut [NodeId], words: &[u64]) {
-    assert!(words.len() >= positions.len(), "one fused word per walker required");
-    let d = g.max_degree() as u64;
-    if d == 0 {
         return;
     }
-    for (v, &word) in positions.iter_mut().zip(words) {
-        let slot = lemire_u64(word << 1, d) as usize;
-        let nbrs = g.neighbors(*v);
-        let dest = if slot < nbrs.len() { nbrs[slot] } else { *v };
-        let mask = ((word >> 63) as NodeId).wrapping_neg();
-        *v = dest ^ ((dest ^ *v) & mask);
+    match kind {
+        WalkKind::MaxDegree | WalkKind::Lazy if d == 0 => {}
+        WalkKind::MaxDegree => {
+            map_cohort(positions, round_seed, |v, w| max_degree_dest(g, d, v, w));
+        }
+        WalkKind::Lazy => map_cohort(positions, round_seed, |v, w| {
+            stay_select(v, max_degree_dest(g, d, v, w << 1), w)
+        }),
+        WalkKind::Simple => map_cohort(positions, round_seed, |v, w| simple_dest(g, v, w)),
     }
 }
 
-/// Scalar reference evaluation of one batch: the same cohort stepped one
-/// at a time through [`Walker`]. For [`WalkKind::MaxDegree`] and
-/// [`WalkKind::Simple`] this consumes the identical RNG stream as
-/// [`BatchWalker::step_batch`]; tests pin that equivalence.
-pub fn step_batch_scalar<R: Rng + ?Sized>(
-    g: &Graph,
-    kind: WalkKind,
-    positions: &mut [NodeId],
-    rng: &mut R,
-) {
-    let walker = Walker::new(g, kind);
-    for v in positions {
-        *v = walker.step(*v, rng);
+/// The per-word reference of [`step_cohort`]: the same cohort stepped
+/// one walker at a time through `walk_dest(walk_word(..))`, with no
+/// dispatch hoisting and no flat-CSR path. Tests pin the kernel to it bit
+/// for bit; benches measure the kernel against it.
+pub fn step_cohort_per_word(g: &Graph, kind: WalkKind, positions: &mut [NodeId], round_seed: u64) {
+    map_cohort(positions, round_seed, |v, w| walk_dest(g, kind, v, w));
+}
+
+/// Replace each walker by `dest(v, word)`, numbering the walkers of each
+/// contiguous source run `0, 1, 2, …` for their words.
+#[inline(always)]
+fn map_cohort(positions: &mut [NodeId], round_seed: u64, dest: impl Fn(NodeId, u64) -> NodeId) {
+    let mut prev = NodeId::MAX;
+    let mut slot = 0u64;
+    for p in positions {
+        let v = *p;
+        slot = if v == prev { slot + 1 } else { 0 };
+        prev = v;
+        *p = dest(v, walk_word(round_seed, v, slot));
     }
 }
 
@@ -321,9 +175,7 @@ pub fn step_batch_scalar<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::transition::TransitionMatrix;
-    use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
-    use tlb_graphs::generators::{complete, cycle, star, torus2d};
+    use tlb_graphs::generators::{complete, cycle, lollipop, star, torus2d};
 
     /// Pearson chi-square statistic of observed counts against expected
     /// probabilities (support restricted to p > 0).
@@ -342,40 +194,6 @@ mod tests {
         (stat, df.saturating_sub(1))
     }
 
-    /// Empirical one-step distribution from `start` using the batched
-    /// kernel: `reps` batches of `batch` walkers all starting at `start`.
-    fn batched_counts(
-        g: &Graph,
-        kind: WalkKind,
-        start: NodeId,
-        reps: usize,
-        batch: usize,
-    ) -> Vec<u64> {
-        let mut counts = vec![0u64; g.num_nodes()];
-        let mut rng = SmallRng::seed_from_u64(0xBA7C4);
-        let mut kernel = BatchWalker::new();
-        let mut positions = vec![start; batch];
-        for _ in 0..reps {
-            positions.iter_mut().for_each(|v| *v = start);
-            kernel.step_batch(g, kind, &mut positions, &mut rng);
-            for &v in &positions {
-                counts[v as usize] += 1;
-            }
-        }
-        counts
-    }
-
-    /// Empirical one-step distribution from the scalar reference walker.
-    fn scalar_counts(g: &Graph, kind: WalkKind, start: NodeId, total: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; g.num_nodes()];
-        let mut rng = SmallRng::seed_from_u64(0x5CA1A);
-        let w = Walker::new(g, kind);
-        for _ in 0..total {
-            counts[w.step(start, &mut rng) as usize] += 1;
-        }
-        counts
-    }
-
     /// Chi-square critical values at significance 1e-3 for the df this
     /// test suite produces (conservative upper bounds).
     fn critical(df: usize) -> f64 {
@@ -390,16 +208,43 @@ mod tests {
         }
     }
 
-    /// Statistical-equivalence pin: for every walk kind and several graph
-    /// shapes (regular and irregular, so both kernel paths are covered),
-    /// BOTH the batched and the scalar kernel match the exact transition
-    /// row — the justification for re-pinning protocol goldens after a
-    /// stream-changing kernel rewrite (the draw *sequence* may differ for
-    /// Lazy, now lane-striped off one parent word; the per-step law may
-    /// not).
+    /// Empirical one-step distribution from `start`: `reps` cohorts of
+    /// `batch` walkers all on `start` (slots 0..batch), one round seed per
+    /// cohort, stepped by the kernel and by the per-word reference.
+    fn counts(
+        g: &Graph,
+        kind: WalkKind,
+        start: NodeId,
+        reps: usize,
+        batch: usize,
+    ) -> [Vec<u64>; 2] {
+        let mut kernel = vec![0u64; g.num_nodes()];
+        let mut reference = vec![0u64; g.num_nodes()];
+        for r in 0..reps as u64 {
+            let round_seed = mix_pair(0xBA7C4, r);
+            let mut positions = vec![start; batch];
+            step_cohort(g, kind, &mut positions, round_seed);
+            for &v in &positions {
+                kernel[v as usize] += 1;
+            }
+            let mut positions = vec![start; batch];
+            step_cohort_per_word(g, kind, &mut positions, round_seed);
+            for &v in &positions {
+                reference[v as usize] += 1;
+            }
+        }
+        [kernel, reference]
+    }
+
+    /// The one statistical pin of the walk law (the justification for
+    /// re-pinning protocol goldens after a stream change): for every walk
+    /// kind, from a star hub and leaf, a cycle, a torus and a complete
+    /// graph (regular and irregular, so both kernel paths are covered),
+    /// the kernel and the per-word reference match the exact transition
+    /// row of `P`.
     #[test]
     fn batched_and_scalar_match_exact_transition_row() {
-        let graphs: Vec<(&str, tlb_graphs::Graph, NodeId)> = vec![
+        let graphs: Vec<(&str, Graph, NodeId)> = vec![
             ("star_leaf", star(8), 3),
             ("star_hub", star(8), 0),
             ("cycle", cycle(9), 4),
@@ -407,22 +252,19 @@ mod tests {
             ("complete", complete(6), 2),
         ];
         let total = 120_000u64;
+        let batch = 500;
         for (name, g, start) in &graphs {
             for kind in [WalkKind::MaxDegree, WalkKind::Lazy, WalkKind::Simple] {
                 let p = TransitionMatrix::build(g, kind);
                 let probs = p.matrix().row(*start as usize);
-                let batch = 500;
-                let reps = total as usize / batch;
-                let b = batched_counts(g, kind, *start, reps, batch);
-                let s = scalar_counts(g, kind, *start, total as usize);
-                for (label, counts) in [("batched", &b), ("scalar", &s)] {
+                let [kernel, reference] = counts(g, kind, *start, total as usize / batch, batch);
+                for (label, counts) in [("kernel", &kernel), ("per-word", &reference)] {
                     let (stat, df) = chi_square(counts, probs, total);
                     // df 0 = deterministic destination (e.g. a simple walk
                     // from a star leaf): the statistic must be exactly 0.
                     assert!(
                         if df == 0 { stat == 0.0 } else { stat < critical(df) },
-                        "{name}/{:?}/{label}: chi2 {stat:.2} >= {:.2} (df {df})",
-                        kind,
+                        "{name}/{kind:?}/{label}: chi2 {stat:.2} >= {:.2} (df {df})",
                         critical(df)
                     );
                 }
@@ -430,124 +272,72 @@ mod tests {
         }
     }
 
-    /// Stream pin: MaxDegree and Simple batched steps consume exactly the
-    /// per-call stream (the gather restructure fills its word block with
-    /// `fill_u64`, word-for-word identical to repeated `next_u64`), so
-    /// positions come out bit-identical to the scalar reference under the
-    /// same seed — on an irregular graph (general path) and a regular one
-    /// (flat fast path).
+    /// A node-ordered cohort with up to `per` walkers per source.
+    fn cohort(n: u32, per: u32) -> Vec<NodeId> {
+        (0..n).flat_map(|v| std::iter::repeat_n(v, (v % per + 1) as usize)).collect()
+    }
+
+    /// Bit-for-bit pin of the kernel against the per-word law, over many
+    /// rounds of a node-ordered cohort: the regular flat-CSR path (torus)
+    /// and the irregular path (star, lollipop).
+    fn assert_kernel_is_the_word_law(kind: WalkKind) {
+        let graphs = [torus2d(5, 5), complete(7), star(25), lollipop(6, 4).unwrap()];
+        for g in &graphs {
+            let sources = cohort(g.num_nodes() as u32, 4);
+            for r in 0..20u64 {
+                let round_seed = mix_pair(7, r);
+                let mut kernel = sources.clone();
+                step_cohort(g, kind, &mut kernel, round_seed);
+                let mut reference = sources.clone();
+                step_cohort_per_word(g, kind, &mut reference, round_seed);
+                assert_eq!(kernel, reference, "{kind:?} on {} nodes, round {r}", g.num_nodes());
+            }
+        }
+    }
+
     #[test]
     fn max_degree_and_simple_are_bit_identical_to_scalar() {
-        let irregular = star(25); // hub degree 24, leaves degree 1
-        let regular = torus2d(5, 5); // 4-regular
-        for g in [&irregular, &regular] {
-            for kind in [WalkKind::MaxDegree, WalkKind::Simple] {
-                let n = g.num_nodes() as u32;
-                let mut a: Vec<NodeId> = (0..200).map(|i| i % n).collect();
-                let mut b = a.clone();
-                let mut rng_a = SmallRng::seed_from_u64(7);
-                let mut rng_b = SmallRng::seed_from_u64(7);
-                let mut kernel = BatchWalker::new();
-                for _ in 0..20 {
-                    kernel.step_batch(g, kind, &mut a, &mut rng_a);
-                    step_batch_scalar(g, kind, &mut b, &mut rng_b);
-                }
-                assert_eq!(a, b, "{kind:?} diverged from the scalar stream");
-                // And the RNGs stay aligned afterwards.
-                assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-            }
-        }
+        assert_kernel_is_the_word_law(WalkKind::MaxDegree);
+        assert_kernel_is_the_word_law(WalkKind::Simple);
     }
 
     #[test]
-    fn lazy_draws_one_parent_word_per_batch() {
-        // The wide-lane kernel consumes exactly one word of the caller's
-        // stream per batch, whatever the cohort size or graph shape —
-        // including the edgeless graph, where the step itself is a no-op.
-        for g in [cycle(8), star(9), complete(1)] {
-            for k in [1usize, 7, 137] {
-                let mut rng = SmallRng::seed_from_u64(3);
-                let mut reference = SmallRng::seed_from_u64(3);
-                let mut positions = vec![0 as NodeId; k];
-                BatchWalker::new().step_batch(&g, WalkKind::Lazy, &mut positions, &mut rng);
-                reference.next_u64();
-                assert_eq!(rng.next_u64(), reference.next_u64(), "k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_batch_is_the_wide_stream_through_the_word_law() {
-        // The whole lazy path decomposes as: draw one parent word, expand
-        // it through WideRng, apply the fused word law. Reproduce that by
-        // hand on regular graphs (the two-pass gather fast path: torus
-        // is 4-regular → power-of-two shift slots, complete(7) is
-        // 6-regular → generic Lemire slots) and an irregular one
-        // (general path) and demand bitwise agreement.
-        for g in [torus2d(6, 6), complete(7), star(25)] {
-            let n = g.num_nodes() as u32;
-            let mut a: Vec<NodeId> = (0..100u32).map(|i| i % n).collect();
-            let mut b = a.clone();
-            let mut rng = SmallRng::seed_from_u64(11);
-            BatchWalker::new().step_batch(&g, WalkKind::Lazy, &mut a, &mut rng);
-            let mut rng = SmallRng::seed_from_u64(11);
-            let mut lanes = WideRng::seed_from_u64(rng.next_u64());
-            let mut words = vec![0u64; b.len()];
-            lanes.fill_u64(&mut words);
-            step_lazy_with_words(&g, &mut b, &words);
-            assert_eq!(a, b);
-        }
+    fn lazy_batch_is_the_counter_stream_through_the_word_law() {
+        assert_kernel_is_the_word_law(WalkKind::Lazy);
     }
 
     #[test]
     fn lazy_word_law_is_the_fused_coin_and_slot() {
-        // FixedWords-style pin of the mapping itself: hand-picked words
-        // with known top bits and slot values land exactly where the
-        // scalar lazy convention (coin first, then max-degree slot) says.
+        // Hand-picked words with known top bits and slot values land
+        // exactly where the lazy convention (coin first, then max-degree
+        // slot) says.
         let g = star(5); // hub 0 degree 4, leaves degree 1
-        let d = g.max_degree() as u64;
-        assert_eq!(d, 4);
+        let lazy = |v: NodeId, word: u64| walk_dest(&g, WalkKind::Lazy, v, word);
         // Top bit set → stay, regardless of the slot bits.
-        let mut pos = vec![3 as NodeId];
-        step_lazy_with_words(&g, &mut pos, &[1u64 << 63 | 0x1234]);
-        assert_eq!(pos, vec![3]);
+        assert_eq!(lazy(3, 1u64 << 63 | 0x1234), 3);
         // Top bit clear, slot 0 from a leaf → its only neighbour (hub).
-        let mut pos = vec![3 as NodeId];
-        step_lazy_with_words(&g, &mut pos, &[0]);
-        assert_eq!(pos, vec![0]);
+        assert_eq!(lazy(3, 0), 0);
         // Top bit clear, slot ≥ deg(leaf) → self-loop mass keeps it put.
         // slot = lemire(word << 1, 4) = 3 needs word<<1 in the top
         // quarter: word = (3 << 61) yields slot 3 ≥ deg 1.
-        let mut pos = vec![3 as NodeId];
-        step_lazy_with_words(&g, &mut pos, &[3u64 << 61]);
-        assert_eq!(pos, vec![3]);
+        assert_eq!(lazy(3, 3u64 << 61), 3);
         // Hub with slot 2 → third neighbour (sorted adjacency: 1,2,3,4).
-        let mut pos = vec![0 as NodeId];
-        step_lazy_with_words(&g, &mut pos, &[2u64 << 61]);
-        assert_eq!(pos, vec![3]);
+        assert_eq!(lazy(0, 2u64 << 61), 3);
     }
 
     #[test]
     fn empty_batch_and_edgeless_graph_draw_nothing() {
+        // An empty cohort and an edgeless graph move nobody, for every
+        // kind that is defined there.
         let g = complete(1); // max_degree 0
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut kernel = BatchWalker::new();
-        let mut empty: Vec<NodeId> = Vec::new();
-        // An empty batch draws nothing for ANY kind — including Lazy,
-        // which otherwise draws its parent word.
-        kernel.step_batch(&g, WalkKind::MaxDegree, &mut empty, &mut rng);
-        kernel.step_batch(&g, WalkKind::Lazy, &mut empty, &mut rng);
-        let mut positions = vec![0 as NodeId; 5];
-        kernel.step_batch(&g, WalkKind::MaxDegree, &mut positions, &mut rng);
-        assert_eq!(positions, vec![0; 5]);
-        // MaxDegree on an edgeless graph consumes no words (scalar parity).
-        assert_eq!(rng, SmallRng::seed_from_u64(1));
-        // Lazy consumes exactly its one parent word and moves nobody.
-        kernel.step_batch(&g, WalkKind::Lazy, &mut positions, &mut rng);
-        let mut reference = SmallRng::seed_from_u64(1);
-        reference.next_u64();
-        assert_eq!(rng, reference);
-        assert_eq!(positions, vec![0; 5]);
+        for kind in [WalkKind::MaxDegree, WalkKind::Lazy] {
+            step_cohort(&g, kind, &mut [], 1);
+            let mut positions = vec![0 as NodeId; 5];
+            step_cohort(&g, kind, &mut positions, 1);
+            assert_eq!(positions, vec![0; 5]);
+            assert_eq!(walk_dest(&g, kind, 0, u64::MAX), 0);
+        }
+        step_cohort(&g, WalkKind::Simple, &mut [], 1);
     }
 
     #[test]
@@ -558,8 +348,6 @@ mod tests {
         b.add_edge(0, 1).unwrap();
         b.add_edge(1, 2).unwrap();
         let g = b.build();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut positions = vec![3 as NodeId];
-        BatchWalker::new().step_batch(&g, WalkKind::Simple, &mut positions, &mut rng);
+        step_cohort(&g, WalkKind::Simple, &mut [3], 1);
     }
 }

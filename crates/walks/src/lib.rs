@@ -18,10 +18,13 @@
 //!
 //! * [`transition`] — walk kinds (max-degree, lazy, simple) with dense
 //!   matrix materialization and an `O(1)`-space step sampler,
-//! * [`batch`] — the batched walk-step kernel ([`BatchWalker`]): bulk RNG
-//!   generation plus a one-pass Lemire mapping over the CSR arrays, the
-//!   hot path of the protocol round loops (the scalar [`Walker`] is the
-//!   reference implementation),
+//! * [`batch`] — the one walk-step law of both round engines: a
+//!   counter-based word per walker ([`walk_word`], a splitmix pair mix of
+//!   round seed, node and per-node slot), mapped to a destination by
+//!   [`walk_dest`], and the cohort kernel [`step_cohort`] that applies
+//!   that law to a whole round's walkers — the hot path of every protocol
+//!   round loop (the RNG-driven [`Walker`] serves the Monte-Carlo
+//!   estimators),
 //! * [`linalg`] — the dense matrix / LU-solver substrate (no external
 //!   linear-algebra crate is used anywhere in the workspace),
 //! * [`spectral`] — spectral gap via power iteration with deflation,
@@ -58,6 +61,6 @@ pub mod spectral;
 pub mod transition;
 pub mod walker;
 
-pub use batch::{step_lazy_with_words, BatchWalker};
+pub use batch::{mix_pair, step_cohort, walk_dest, walk_word};
 pub use transition::{TransitionMatrix, WalkKind};
 pub use walker::Walker;

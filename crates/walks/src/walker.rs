@@ -1,9 +1,10 @@
-//! Allocation-free single-step walk sampler used by the simulators.
+//! Allocation-free single-step walk sampler driven by an RNG.
 //!
-//! The resource-controlled protocol (Algorithm 5.1) moves every active task
-//! one walk step per round; with millions of task-rounds per trial the
-//! sampler must be branch-light and allocation-free, so it reads the CSR
-//! adjacency directly instead of touching any matrix.
+//! The Monte-Carlo hitting- and cover-time estimators follow one walker
+//! for many steps, drawing each step from a sequential RNG; the sampler
+//! reads the CSR adjacency directly instead of touching any matrix. (The
+//! protocol round loops step whole cohorts through the counter-based
+//! kernel in [`crate::batch`] instead.)
 
 use rand::Rng;
 use tlb_graphs::{Graph, NodeId};

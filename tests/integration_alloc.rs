@@ -19,6 +19,7 @@ use rand::SeedableRng;
 use tlb_core::mixed_protocol::{Departure, MixedConfig, MixedStepper};
 use tlb_core::prelude::*;
 use tlb_core::resource_protocol::ResourceControlledStepper;
+use tlb_core::stack::ResourceStack;
 use tlb_core::user_protocol::UserControlledStepper;
 use tlb_graphs::generators::torus2d;
 
@@ -59,34 +60,55 @@ fn count_allocs<F: FnOnce()>(f: F) -> usize {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Hotspot stacks on `n` resources — every task on resource 0 — where
+/// every stack already has room for all the tasks, so no stack grows
+/// during a run. Which stacks a run's load wave reaches, and when, depends
+/// on the walk stream; with room reserved up front, steady state starts
+/// once round 1 has sized the round buffers (it ejects everything above
+/// the threshold at once, the largest cohort of the run), at any seed.
+fn hotspot_with_room(n: usize, tasks: &TaskSet) -> Vec<ResourceStack> {
+    let weights = tasks.weights();
+    let mut spill = Vec::new();
+    let mut stacks: Vec<ResourceStack> = (0..n)
+        .map(|_| {
+            let mut stack = ResourceStack::new();
+            for (t, &w) in weights.iter().enumerate() {
+                stack.push(t as TaskId, w);
+            }
+            // Threshold 0 ejects the whole stack; the capacity stays.
+            stack.remove_active_into(0.0, weights, &mut spill);
+            spill.clear();
+            stack
+        })
+        .collect();
+    for (t, &w) in weights.iter().enumerate() {
+        stacks[0].push(t as TaskId, w);
+    }
+    stacks
+}
+
 #[test]
 fn round_loops_allocate_nothing_in_steady_state() {
-    // "Steady state" = the round buffers AND the per-resource stacks
-    // have all reached their working capacity. On a slow-mixing torus
-    // the hotspot's load wave keeps reaching fresh stacks (first pushes
-    // grow their Vecs) for a prefix of the run — at these seeds the last
-    // allocating round is 41 of 108 (resource-controlled), so a 48-round
-    // warm-up leaves a ~60-round tail that must be allocation-free. The
-    // runs are seed-deterministic, so these warm-ups are stable.
-    const TORUS_WARMUP: usize = 48;
-
-    // Resource-controlled: hotspot drain on a slow-mixing torus (108
-    // rounds at this seed). Round 1 grows the cohort buffers to their
-    // maximum (everything above the threshold is ejected at once).
+    // Resource-controlled: hotspot drain on a slow-mixing torus. After
+    // round 1 every remaining round must be allocation-free.
     let g = torus2d(8, 8);
     let tasks = TaskSet::new((0..600).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
+    let n = g.num_nodes();
     let cfg = ResourceControlledConfig::default();
+    let threshold = cfg.threshold.value(tasks.total_weight(), n, tasks.w_max());
     let mut rng = SmallRng::seed_from_u64(42);
-    let mut stepper =
-        ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng);
-    for _ in 0..TORUS_WARMUP {
-        stepper.step(&g, &mut rng);
-    }
-    assert!(!stepper.is_done(), "warm-up must not finish the run (weaken the workload?)");
+    let mut stepper = ResourceControlledStepper::from_parts(
+        hotspot_with_room(n, &tasks),
+        tasks.weights().to_vec(),
+        threshold,
+        cfg,
+    );
+    stepper.step(&g, &mut rng);
+    assert!(!stepper.is_done(), "round 1 must not finish the run (weaken the workload?)");
     let allocs = count_allocs(|| while !stepper.step(&g, &mut rng) {});
     let rounds = stepper.rounds();
     assert!(stepper.is_balanced(), "run must balance");
-    assert!(rounds as usize > TORUS_WARMUP + 20, "need a meaningful steady-state tail");
+    assert!(rounds > 20, "need a meaningful steady-state tail");
     assert_eq!(allocs, 0, "resource-controlled steady-state rounds allocated ({rounds} rounds)");
 
     // User-controlled: same discipline for the Bernoulli departure loop
@@ -108,20 +130,25 @@ fn round_loops_allocate_nothing_in_steady_state() {
     assert!(stepper.is_balanced());
     assert_eq!(allocs, 0, "user-controlled steady-state rounds allocated");
 
-    // Mixed: batched walk cohort on the torus via AllActive departures
-    // (57 rounds at this seed, stack capacities stable from round 42).
-    // The Bernoulli mode is deliberately not pinned here: its potential
-    // is non-monotone, so stacks keep reaching new high-water marks until
-    // nearly the end of the run — growth there is working-set growth, not
-    // a buffer-discipline regression.
+    // Mixed: the walk cohort on the torus via AllActive departures, from
+    // the same roomy hotspot. The Bernoulli mode is deliberately not
+    // pinned here: it departs a random share of each overloaded stack,
+    // so round 1 need not be the largest cohort, and a later cohort that
+    // outgrows the buffers is working-set growth, not a
+    // buffer-discipline regression.
     let mut rng = SmallRng::seed_from_u64(11);
     let mcfg = MixedConfig { departure: Departure::AllActive, ..Default::default() };
-    let mut stepper = MixedStepper::new(&g, &tasks, Placement::AllOnOne(0), &mcfg, &mut rng);
-    for _ in 0..TORUS_WARMUP {
-        stepper.step(&g, &mut rng);
-    }
-    assert!(!stepper.is_done(), "warm-up must not finish the run (weaken the workload?)");
+    let mut stepper = MixedStepper::from_parts(
+        hotspot_with_room(n, &tasks),
+        tasks.weights().to_vec(),
+        threshold,
+        tasks.w_max(),
+        mcfg,
+    );
+    stepper.step(&g, &mut rng);
+    assert!(!stepper.is_done(), "round 1 must not finish the run (weaken the workload?)");
     let allocs = count_allocs(|| while !stepper.step(&g, &mut rng) {});
     assert!(stepper.is_balanced());
+    assert!(stepper.rounds() > 20, "need a meaningful steady-state tail");
     assert_eq!(allocs, 0, "mixed steady-state rounds allocated");
 }

@@ -163,9 +163,21 @@ fn resource_policy_online_trajectory_is_pinned() {
 /// (chi-square-pinned in `tlb_walks::batch`), different stream. Old
 /// values: rounds 9, migrations 358, max_load bits 4631952216750555136,
 /// loads[0..3] bits 4630685579355357184 / 4629981891913580544 /
-/// 4630826316843712512. The resource- and user-controlled values are
-/// **unchanged**: their batched paths consume the identical RNG stream
-/// (bulk words + the same Lemire mapping, in the same order).
+/// 4630826316843712512.
+///
+/// Golden re-pin (once, counter-based walk words): the resource, mixed
+/// and shuffle values moved because the steppers now draw one round seed
+/// per round and take every walk word from the counter-based stream
+/// `walk_word(round_seed, node, slot)` (the online engine's law), where
+/// they used to take one sequential word per walker — same per-step law
+/// (chi-square-pinned in `tlb_walks::batch`), different stream. Old
+/// values: resource rounds 41, migrations 1664, max_load bits
+/// 4630967054332067840; mixed rounds 7, migrations 369, max_load bits
+/// 4631670741773844480, loads[0..3] bits 4630967054332067840 /
+/// 4631248529308778496 / 4630122629401935872; shuffle rounds 9,
+/// migrations 49, potential series length 10, Φ(1) bits
+/// 4629418941960159232. The user-controlled values are **unchanged**:
+/// that protocol takes no walk step.
 #[test]
 fn legacy_one_shot_outcomes_are_bit_identical_to_pre_stepper_runs() {
     let g = torus2d(6, 6);
@@ -174,8 +186,8 @@ fn legacy_one_shot_outcomes_are_bit_identical_to_pre_stepper_runs() {
     let cfg = ResourceControlledConfig::default();
     let mut rng = SmallRng::seed_from_u64(12345);
     let out = run_resource_controlled(&g, &tasks, Placement::AllOnOne(7), &cfg, &mut rng);
-    assert_eq!(out.rounds, 41);
-    assert_eq!(out.migrations, 1664);
+    assert_eq!(out.rounds, 38);
+    assert_eq!(out.migrations, 1669);
     assert_eq!(out.final_max_load.to_bits(), 4630967054332067840);
 
     let ucfg = UserControlledConfig::default();
@@ -193,11 +205,11 @@ fn legacy_one_shot_outcomes_are_bit_identical_to_pre_stepper_runs() {
     let mut rng = SmallRng::seed_from_u64(4242);
     let mout = run_mixed(&g2, &tasks, Placement::AllOnOne(3), &mcfg, &mut rng);
     assert_eq!(mout.rounds, 7);
-    assert_eq!(mout.migrations, 369);
-    assert_eq!(mout.final_max_load.to_bits(), 4631670741773844480);
-    assert_eq!(mout.final_loads[0].to_bits(), 4630967054332067840);
-    assert_eq!(mout.final_loads[1].to_bits(), 4631248529308778496);
-    assert_eq!(mout.final_loads[2].to_bits(), 4630122629401935872);
+    assert_eq!(mout.migrations, 346);
+    assert_eq!(mout.final_max_load.to_bits(), 4631952216750555136);
+    assert_eq!(mout.final_loads[0].to_bits(), 4630544841867001856);
+    assert_eq!(mout.final_loads[1].to_bits(), 4629700416936869888);
+    assert_eq!(mout.final_loads[2].to_bits(), 4629700416936869888);
 
     // The shuffle + potential-tracking path exercises every RNG call site.
     let cfg2 = ResourceControlledConfig {
@@ -207,9 +219,9 @@ fn legacy_one_shot_outcomes_are_bit_identical_to_pre_stepper_runs() {
     };
     let mut rng = SmallRng::seed_from_u64(999);
     let out2 = run_resource_controlled(&g, &tasks, Placement::UniformRandom, &cfg2, &mut rng);
-    assert_eq!(out2.rounds, 9);
-    assert_eq!(out2.migrations, 49);
-    assert_eq!(out2.potential_series.len(), 10);
+    assert_eq!(out2.rounds, 5);
+    assert_eq!(out2.migrations, 36);
+    assert_eq!(out2.potential_series.len(), 6);
     assert_eq!(out2.potential_series[1].to_bits(), 4629418941960159232);
 }
 
@@ -269,24 +281,19 @@ fn tenant_slo_ordering_is_stable_under_streaming_load() {
     );
 }
 
-/// Golden pin for the **lazy** walk stream (once, wide-lane kernel PR).
+/// Golden pin for the **lazy** walk stream: a regular graph (torus —
+/// the kernel's flat-CSR path) and an irregular one (star — the general
+/// path). Any future change to these values needs its own justified
+/// re-pin per the policy in `vendor/README.md`.
 ///
-/// Golden re-pin (once, wide-lane RNG kernel PR): the lazy batched
-/// kernel moved from one fused word per walker off the caller's stream
-/// to **one parent word per batch** expanded through the lane-striped
-/// `rand::rngs::WideRng` (fixed `WIDE_LANES` stream constant), and lazy
-/// cohorts are now degree-bucket sorted before the walk phase
-/// (`RoundEngine::sort_cohort_by_degree`) — same per-step law
-/// (chi-square-pinned per `WalkKind` in `tlb_walks::batch`, and the
-/// word-law stub tests there pin the mapping bit-exactly), different
-/// stream. No earlier golden pinned a lazy one-shot trajectory (every
-/// checked-in pin uses MaxDegree walks or the counter-based online
-/// stream, all byte-identical to before this PR), so these values are
-/// pinned fresh here: a regular graph (torus — wide-lane gather fast
-/// path, sorting is the identity) and an irregular one (star — general
-/// path plus a real degree-bucket sort each round). Any future change
-/// to these values needs its own justified re-pin per the policy in
-/// `vendor/README.md`.
+/// Golden re-pin (once, counter-based walk words): the lazy stream moved
+/// from one parent word per round, expanded by a separate bulk generator
+/// over a cohort reordered by source degree, to one round seed per round
+/// and the counter-based words `walk_word(round_seed, node, slot)` over
+/// the node-ordered cohort — same per-step law (chi-square-pinned per
+/// `WalkKind` in `tlb_walks::batch`), different stream. Old values: torus
+/// rounds 53, migrations 3284, max_load bits 4630967054332067840; star
+/// rounds 155, migrations 900, max_load bits 4630404104378646528.
 #[test]
 fn lazy_one_shot_outcomes_are_pinned() {
     let tasks = TaskSet::new((0..360).map(|i| 1.0 + (i % 5) as f64).collect::<Vec<_>>());
@@ -295,14 +302,14 @@ fn lazy_one_shot_outcomes_are_pinned() {
     let g = torus2d(6, 6);
     let mut rng = SmallRng::seed_from_u64(12345);
     let out = run_resource_controlled(&g, &tasks, Placement::AllOnOne(7), &cfg, &mut rng);
-    assert_eq!(out.rounds, 53);
-    assert_eq!(out.migrations, 3284);
+    assert_eq!(out.rounds, 71);
+    assert_eq!(out.migrations, 3260);
     assert_eq!(out.final_max_load.to_bits(), 4630967054332067840);
 
     let star = tlb_graphs::generators::star(40);
     let mut rng = SmallRng::seed_from_u64(777);
     let out2 = run_resource_controlled(&star, &tasks, Placement::AllOnOne(0), &cfg, &mut rng);
-    assert_eq!(out2.rounds, 155);
-    assert_eq!(out2.migrations, 900);
+    assert_eq!(out2.rounds, 182);
+    assert_eq!(out2.migrations, 1617);
     assert_eq!(out2.final_max_load.to_bits(), 4630404104378646528);
 }
