@@ -6,9 +6,11 @@
 //! `tlb_graphs::Partition` — that a worker thread can own exclusively
 //! while the sharded engine steps all shards in parallel.
 //! [`StackFragment::split`] and [`StackFragment::join`] convert between
-//! the flat representation and the fragment list in `O(k)` pointer moves
-//! (the per-stack `Vec`s are moved, never copied), so fragmenting is free
-//! on the per-epoch hot path and `split ∘ join` is the identity.
+//! the flat representation and the fragment list by moving the stack
+//! headers of every shard but the first (the per-stack `Vec`s are moved,
+//! never copied; the first shard keeps the flat array's allocation), so
+//! a one-shard pass allocates nothing to fragment and `split ∘ join` is
+//! the identity.
 //!
 //! The fragment offers exactly the per-round operations of the
 //! resource-controlled protocol (Algorithm 5.1), restricted to its node
@@ -40,7 +42,7 @@ impl StackFragment {
     ///
     /// # Panics
     /// If the partition does not cover exactly `stacks.len()` nodes.
-    pub fn split(stacks: Vec<ResourceStack>, partition: &Partition) -> Vec<StackFragment> {
+    pub fn split(mut stacks: Vec<ResourceStack>, partition: &Partition) -> Vec<StackFragment> {
         assert_eq!(
             partition.num_nodes(),
             stacks.len(),
@@ -48,14 +50,19 @@ impl StackFragment {
             partition.num_nodes(),
             stacks.len()
         );
-        let mut rest = stacks.into_iter();
-        partition
-            .ranges()
-            .map(|r| StackFragment {
-                start: r.start,
-                stacks: rest.by_ref().take(r.len()).collect(),
+        // Peel the shards off the back, so the first fragment keeps the
+        // flat array's allocation (and `join` refills it in place): with
+        // one shard, splitting and joining move no stack at all.
+        let mut fragments: Vec<StackFragment> = (1..partition.num_shards())
+            .rev()
+            .map(|s| {
+                let start = partition.range(s).start;
+                StackFragment { start, stacks: stacks.split_off(start as usize) }
             })
-            .collect()
+            .collect();
+        fragments.push(StackFragment { start: 0, stacks });
+        fragments.reverse();
+        fragments
     }
 
     /// Reassemble fragments (in shard order) into the flat stack array.
@@ -64,7 +71,7 @@ impl StackFragment {
     /// # Panics
     /// If the fragments are not contiguous from node 0.
     pub fn join(fragments: Vec<StackFragment>) -> Vec<ResourceStack> {
-        let mut out = Vec::with_capacity(fragments.iter().map(|f| f.stacks.len()).sum());
+        let mut out = Vec::new();
         for frag in fragments {
             assert_eq!(
                 frag.start as usize,
@@ -72,7 +79,13 @@ impl StackFragment {
                 "fragment starting at node {} joined out of order",
                 frag.start
             );
-            out.extend(frag.stacks);
+            if out.is_empty() {
+                // The first fragment's array has the capacity `split`
+                // left it: the whole flat array's.
+                out = frag.stacks;
+            } else {
+                out.extend(frag.stacks);
+            }
         }
         out
     }

@@ -198,6 +198,41 @@ impl ResourceStack {
         out.len() - before
     }
 
+    /// Remove the tasks at the strictly ascending stack positions
+    /// `positions`, keeping the others in their relative order, and
+    /// append the removed ones to `out` bottom-to-top. The cached load
+    /// drops by the removed weight, as in
+    /// [`drain_bernoulli_into`](Self::drain_bernoulli_into). Costs
+    /// O(height − first position). The online engine's skip-sampled
+    /// departures call this with the positions a geometric walk over
+    /// all stacks landed on.
+    pub fn remove_positions_into(
+        &mut self,
+        positions: &[usize],
+        weights: &[f64],
+        out: &mut Vec<TaskId>,
+    ) {
+        let Some(&first) = positions.first() else {
+            return;
+        };
+        let mut next = positions.iter().copied().peekable();
+        let mut removed_weight = 0.0;
+        let mut write = first;
+        for read in first..self.tasks.len() {
+            let t = self.tasks[read];
+            if next.next_if_eq(&read).is_some() {
+                out.push(t);
+                removed_weight += weights[t as usize];
+            } else {
+                self.tasks[write] = t;
+                write += 1;
+            }
+        }
+        assert!(next.next().is_none(), "positions must be strictly ascending and in range");
+        self.tasks.truncate(write);
+        self.load -= removed_weight;
+    }
+
     /// Recompute the cached load from scratch (guards against f64 drift in
     /// long simulations; called periodically by the protocols).
     pub fn rebuild_load(&mut self, weights: &[f64]) {
@@ -350,6 +385,28 @@ mod tests {
         }
         let rate = total_migrants as f64 / (trials * 10) as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
+    }
+
+    #[test]
+    fn remove_positions_keeps_order_and_load() {
+        let (mut s, weights) = stack_of(&[(0, 1.0), (1, 2.0), (2, 4.0), (3, 8.0), (4, 16.0)]);
+        let mut out = vec![9];
+        s.remove_positions_into(&[], &weights, &mut out);
+        assert_eq!(s.num_tasks(), 5);
+        s.remove_positions_into(&[0, 2, 4], &weights, &mut out);
+        assert_eq!(out, vec![9, 0, 2, 4]);
+        assert_eq!(s.tasks(), &[1, 3]);
+        assert_eq!(s.load(), 10.0);
+        s.remove_positions_into(&[0, 1], &weights, &mut out);
+        assert!(s.is_empty());
+        assert_eq!(s.load(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn remove_positions_rejects_out_of_range() {
+        let (mut s, weights) = stack_of(&[(0, 1.0), (1, 2.0)]);
+        s.remove_positions_into(&[1, 2], &weights, &mut Vec::new());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! A [`Partition`] splits the node id space `0..n` into `k` contiguous,
 //! disjoint, covering ranges ("shards"). Contiguity is what makes shards
 //! cheap: a shard's per-resource state is a plain sub-`Vec` of the global
-//! state arrays (see `tlb_core::fragment`), splitting and re-joining are
-//! `O(k)` pointer moves, and mapping a node to its shard is a binary
+//! state arrays (see `tlb_core::fragment`), splitting and re-joining move
+//! only the stack headers of shards after the first, and mapping a node to its shard is a binary
 //! search over `k+1` boundaries. The layout is a pure function of
 //! `(n, k)`, never of scheduling, so sharded runs can be reproduced
 //! bit-for-bit at any shard count.

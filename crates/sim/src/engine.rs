@@ -71,7 +71,7 @@ use crate::metrics::{EpochRecord, RunningSummary, SimReport};
 use crate::shard::{rebalance_seed, ShardedEngine};
 use crate::sink::MetricsSink;
 use crate::snapshot::{SimSnapshot, SNAPSHOT_VERSION};
-use crate::state::SimState;
+use crate::state::{top_loaded, SimState};
 use crate::tenants::{TenantSet, TenantSpec};
 
 /// Derive epoch `e`'s seed from the base seed: the workspace's one
@@ -418,6 +418,12 @@ impl OnlineSim {
         self.state.live
     }
 
+    /// Largest live task weight (0 when empty): the cached `w_max` the
+    /// live threshold uses, O(1) (see [`crate::state`]).
+    pub fn live_w_max(&self) -> f64 {
+        self.state.live_w_max()
+    }
+
     /// Epochs executed so far.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -614,7 +620,8 @@ impl OnlineSim {
     /// If the snapshot version is unsupported, the config fails
     /// validation, the graph delta does not apply to `base`, or the task
     /// tables are inconsistent (stacked tasks vs. live count, freelist
-    /// vs. slot capacity).
+    /// vs. slot capacity, or stacked and free ids that do not partition
+    /// the slot table).
     pub fn restore(snap: SimSnapshot, base: Graph) -> anyhow::Result<Self> {
         anyhow::ensure!(
             snap.version == SNAPSHOT_VERSION,
@@ -676,11 +683,23 @@ impl OnlineSim {
             snap.weights.len()
         );
         let num_tenants = snap.config.tenants.len();
+        // Stacked ids and free ids must partition `0..capacity`: a
+        // duplicate would corrupt a slot and the cached `w_max` count,
+        // an out-of-range free id would be handed to the next arrival.
+        // With the counts checked above, "each id seen at most once"
+        // is the whole partition check.
+        const STACKED: u8 = 1;
+        const FREE: u8 = 2;
+        let mut seen = vec![0u8; snap.weights.len()];
         for &t in snap.stacks.iter().flat_map(|s| s.tasks()) {
             anyhow::ensure!(
                 (t as usize) < snap.weights.len(),
                 "stacked task id {t} outside the {}-slot table",
                 snap.weights.len()
+            );
+            anyhow::ensure!(
+                std::mem::replace(&mut seen[t as usize], STACKED) == 0,
+                "task id {t} is stacked twice"
             );
             let (w, tenant) = (snap.weights[t as usize], snap.tenant_of[t as usize]);
             anyhow::ensure!(
@@ -691,6 +710,18 @@ impl OnlineSim {
                 (tenant as usize) < num_tenants,
                 "stacked task {t} belongs to tenant {tenant}, but only {num_tenants} are configured"
             );
+        }
+        for &t in &snap.free_ids {
+            anyhow::ensure!(
+                (t as usize) < snap.weights.len(),
+                "free id {t} outside the {}-slot table",
+                snap.weights.len()
+            );
+            match std::mem::replace(&mut seen[t as usize], FREE) {
+                STACKED => anyhow::bail!("free id {t} is also stacked"),
+                FREE => anyhow::bail!("free id {t} is listed twice"),
+                _ => {}
+            }
         }
         let tenants = TenantSet::new(snap.config.tenants.clone());
         // At an epoch boundary the walk graph always equals the overlay
@@ -707,6 +738,7 @@ impl OnlineSim {
         state.live = snap.live;
         state.domain_down_until = snap.domain_down_until;
         state.admission_tokens = snap.admission_tokens;
+        state.rescan_w_max();
         Ok(OnlineSim {
             cfg: snap.config,
             tenants,
@@ -746,13 +778,14 @@ impl OnlineSim {
         let domains = &self.cfg.churn.domains;
 
         // The adaptive arrival adversary reacts to the loads as last
-        // epoch's rebalancing pass left them — capture the ranking
-        // before this epoch's churn/departures disturb it. Every branch
-        // below is feature-gated, so configs without the new knobs draw
-        // the exact RNG sequence they always did.
-        let adaptive_ranking =
-            matches!(self.cfg.arrival_placement, ArrivalPlacement::Adaptive { .. })
-                .then(|| state.load_ranking());
+        // epoch's rebalancing pass left them — capture them before this
+        // epoch's churn/departures disturb them. Every branch below is
+        // feature-gated, so configs without the new knobs draw the exact
+        // RNG sequence they always did.
+        let adaptive_view = match self.cfg.arrival_placement {
+            ArrivalPlacement::Adaptive { spread } => Some((spread, state.loads())),
+            _ => None,
+        };
 
         // --- 1. churn: due domain recoveries (scheduled, no RNG), then
         // scripted events in list order, then the stochastic domain
@@ -833,7 +866,8 @@ impl OnlineSim {
         }
         let t_churn = obs_on.then(Instant::now);
 
-        // --- 2. departures: every live task flips an independent coin.
+        // --- 2. departures: every live task leaves independently with
+        // probability `departure_prob` (skip-sampled, O(n + departures)).
         let departures = state.depart_bernoulli(self.cfg.departure_prob, &mut rng);
 
         // --- 3. arrivals, gated by admission. The offered stream
@@ -853,19 +887,9 @@ impl OnlineSim {
             let active = state.active_ids();
             // The adaptive adversary's targets for this whole epoch:
             // last epoch's `spread` most-loaded resources still active.
-            let adaptive_targets: Option<Vec<tlb_graphs::NodeId>> =
-                adaptive_ranking.as_ref().map(|ranking| {
-                    let spread = match self.cfg.arrival_placement {
-                        ArrivalPlacement::Adaptive { spread } => spread,
-                        _ => unreachable!("ranking only captured for adaptive placement"),
-                    };
-                    ranking
-                        .iter()
-                        .copied()
-                        .filter(|&v| state.dg.is_active(v))
-                        .take(spread)
-                        .collect()
-                });
+            let adaptive_targets = adaptive_view
+                .as_ref()
+                .map(|(spread, loads)| top_loaded(loads, active.clone(), *spread));
             // Projected total live weight, tracked incrementally for
             // the load-shedding decision (unused by the other policies,
             // so their epochs skip the O(n) sum).
@@ -992,9 +1016,15 @@ impl OnlineSim {
         let max_load = max_load(&state.stacks);
         let overloaded = num_overloaded(&state.stacks, threshold);
         let balanced = overloaded == 0;
-        let tenant_violations =
-            self.tenants
-                .violations(&state.stacks, &state.weights, &state.tenant_of, n_active);
+        // O(n) over the cached stack loads at the cached `w_max` with one
+        // tenant; with more, the one remaining O(live) term of an epoch.
+        let tenant_violations = self.tenants.violations_with_w_max(
+            &state.stacks,
+            &state.weights,
+            &state.tenant_of,
+            n_active,
+            w_max,
+        );
         if let Some(obs) = &self.obs {
             // Per-tenant SLO ledger, inside the deterministic counters
             // subtree: violated vs rejected vs admitted work.

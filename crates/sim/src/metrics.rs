@@ -57,6 +57,10 @@ pub struct EpochRecord {
     pub balanced: bool,
     /// Per-tenant count of resources violating the tenant's own
     /// threshold (index = tenant, order of the configured tenant list).
+    /// With a single tenant the count reads the engine's cached stack
+    /// loads — the same loads `overload_fraction` reads — and their sum
+    /// as the tenant's `W`, exactly as `TenantSet::violations` computes
+    /// it, so a replay on a checkpoint reproduces it bit for bit.
     pub tenant_violations: Vec<u64>,
     /// Per-tenant admitted arrivals this epoch (same indexing).
     pub tenant_admitted: Vec<u64>,

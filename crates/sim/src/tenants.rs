@@ -10,6 +10,7 @@
 //! first to degrade under pressure.
 
 use serde::{Deserialize, Serialize};
+use tlb_core::protocol;
 use tlb_core::stack::ResourceStack;
 use tlb_core::threshold::ThresholdPolicy;
 
@@ -108,6 +109,11 @@ impl TenantSet {
     /// exceeds the tenant's own threshold. `weights` and `tenant_of` are
     /// indexed by task id; `n_active` is the denominator of the per-tenant
     /// averages.
+    ///
+    /// With one tenant, its tenant-local loads are the cached stack loads
+    /// and its `W` their sum, so the count is O(n) once `w_max` is known
+    /// (here one scan of the tasks finds it). With more tenants it is
+    /// O(live + t·n): it visits every stacked task for its tenant.
     pub fn violations(
         &self,
         stacks: &[ResourceStack],
@@ -115,36 +121,74 @@ impl TenantSet {
         tenant_of: &[u16],
         n_active: usize,
     ) -> Vec<u64> {
+        // Only the single-tenant count reads the live `w_max`.
+        let w_max = match self.specs.len() {
+            1 => protocol::live_w_max(stacks, weights),
+            _ => 0.0,
+        };
+        self.violations_with_w_max(stacks, weights, tenant_of, n_active, w_max)
+    }
+
+    /// [`violations`](Self::violations) given the live `w_max` (the
+    /// largest stacked weight, which the online engine caches), so the
+    /// single-tenant count skips the task scan. Equal to `violations`
+    /// bit for bit whenever `w_max` is that maximum; with two or more
+    /// tenants `w_max` is unused (each tenant has its own).
+    pub(crate) fn violations_with_w_max(
+        &self,
+        stacks: &[ResourceStack],
+        weights: &[f64],
+        tenant_of: &[u16],
+        n_active: usize,
+        w_max: f64,
+    ) -> Vec<u64> {
+        if let [only] = self.specs.as_slice() {
+            let total = stacks.iter().map(ResourceStack::load).sum();
+            let loads = stacks.iter().map(ResourceStack::load);
+            return vec![exceeding(only, total, n_active, w_max, loads)];
+        }
         let t = self.specs.len();
         // Tenant-local load per (tenant, resource), plus per-tenant W and
         // w_max, in one pass over the stacked tasks.
         let mut load = vec![0.0f64; t * stacks.len()];
         let mut total = vec![0.0f64; t];
-        let mut w_max = vec![0.0f64; t];
+        let mut tenant_w_max = vec![0.0f64; t];
         for (r, stack) in stacks.iter().enumerate() {
             for &task in stack.tasks() {
                 let c = tenant_of[task as usize] as usize;
                 let w = weights[task as usize];
                 load[c * stacks.len() + r] += w;
                 total[c] += w;
-                if w > w_max[c] {
-                    w_max[c] = w;
+                if w > tenant_w_max[c] {
+                    tenant_w_max[c] = w;
                 }
             }
         }
+        let n = stacks.len();
         (0..t)
             .map(|c| {
-                if total[c] <= 0.0 || n_active == 0 {
-                    return 0;
-                }
-                let threshold = self.specs[c].policy.value(total[c], n_active, w_max[c]);
-                load[c * stacks.len()..(c + 1) * stacks.len()]
-                    .iter()
-                    .filter(|&&l| l > threshold)
-                    .count() as u64
+                let loads = load[c * n..(c + 1) * n].iter().copied();
+                exceeding(&self.specs[c], total[c], n_active, tenant_w_max[c], loads)
             })
             .collect()
     }
+}
+
+/// How many of `loads` exceed `spec`'s threshold at total weight `total`
+/// and heaviest task `w_max` (none for an absent tenant or an empty
+/// fleet).
+fn exceeding(
+    spec: &TenantSpec,
+    total: f64,
+    n_active: usize,
+    w_max: f64,
+    loads: impl Iterator<Item = f64>,
+) -> u64 {
+    if total <= 0.0 || n_active == 0 {
+        return 0;
+    }
+    let threshold = spec.policy.value(total, n_active, w_max);
+    loads.filter(|&l| l > threshold).count() as u64
 }
 
 #[cfg(test)]
@@ -183,6 +227,21 @@ mod tests {
         r1.push(4, 1.0);
         let v = ts.violations(&[r0, r1], &weights, &tenant_of, 2);
         assert_eq!(v, vec![1, 0]);
+    }
+
+    #[test]
+    fn single_tenant_counts_the_stack_loads() {
+        // W = 4, wmax = 1, tight T = 4/2 + 1 = 3: r0 (load 4) violates.
+        let ts = TenantSet::single(ThresholdPolicy::Tight);
+        let mut r0 = ResourceStack::new();
+        for t in 0..4 {
+            r0.push(t, 1.0);
+        }
+        let stacks = [r0, ResourceStack::new()];
+        let (weights, tenant_of) = (vec![1.0; 4], vec![0; 4]);
+        assert_eq!(ts.violations(&stacks, &weights, &tenant_of, 2), vec![1]);
+        assert_eq!(ts.violations_with_w_max(&stacks, &weights, &tenant_of, 2, 1.0), vec![1]);
+        assert_eq!(ts.violations(&[], &[], &[], 0), vec![0], "empty fleet");
     }
 
     #[test]

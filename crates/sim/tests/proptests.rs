@@ -19,12 +19,15 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_baselines::BaselineRule;
 use tlb_core::mixed_protocol::Departure;
+use tlb_core::protocol::live_w_max;
 use tlb_core::stack::ResourceStack;
+use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::generators::random_regular;
 use tlb_graphs::Partition;
 use tlb_sim::{
-    AdmissionPolicy, ArrivalProcess, ChurnEvent, ChurnProcess, DomainSpec, MemorySink, OnlineSim,
-    RebalancePolicy, ShardedEngine, SimConfig, SimSnapshot,
+    AdmissionPolicy, ArrivalPlacement, ArrivalProcess, ArrivalWeights, ChurnEvent, ChurnProcess,
+    DomainSpec, MemorySink, OnlineSim, RebalancePolicy, ShardedEngine, SimConfig, SimSnapshot,
+    TenantSet, TenantSpec,
 };
 use tlb_walks::WalkKind;
 
@@ -101,8 +104,132 @@ fn arb_stacks() -> impl Strategy<Value = (Vec<ResourceStack>, Vec<f64>)> {
     )
 }
 
+/// The differential oracle of the engine's cached aggregates, after an
+/// epoch: the cached `w_max` equals the full scan and the record's tenant
+/// violations equal `TenantSet::violations` (the single-tenant fast path
+/// included), bit for bit at any weights; with `dyadic` weights every
+/// cached stack load also equals its recomputed sum bit for bit (other
+/// weights round differently under push and pop, by design).
+fn assert_cached_aggregates_match(sim: &mut OnlineSim, tenants: &TenantSet, dyadic: bool) {
+    let epoch = sim.epoch();
+    let record = sim.records().last().expect("an epoch ran").clone();
+    let snap = sim.checkpoint().unwrap();
+    assert_eq!(
+        sim.live_w_max().to_bits(),
+        live_w_max(&snap.stacks, &snap.weights).to_bits(),
+        "cached w_max after epoch {epoch}"
+    );
+    let violations =
+        tenants.violations(&snap.stacks, &snap.weights, &snap.tenant_of, sim.graph().num_active());
+    assert_eq!(record.tenant_violations, violations, "tenant violations after epoch {epoch}");
+    if !dyadic {
+        return;
+    }
+    for (r, stack) in snap.stacks.iter().enumerate() {
+        // Folded from +0.0 like a stack's pushes (an empty `sum()` is -0.0).
+        let sum = stack.tasks().iter().fold(0.0, |acc, &t| acc + snap.weights[t as usize]);
+        assert_eq!(stack.load().to_bits(), sum.to_bits(), "load of {r} after epoch {epoch}");
+    }
+}
+
+/// Swap the (empty) population of `snap` for `tasks` tasks of weight in
+/// `[1, 8]` and random tenants on random resources. `dyadic` weights are
+/// multiples of 1/8, so sums of up to 2^50 of them stay exact.
+fn population(snap: &mut SimSnapshot, tasks: usize, dyadic: bool, rng: &mut SmallRng) {
+    use rand::Rng;
+    let n = snap.stacks.len();
+    let num_tenants = snap.config.tenants.len() as u16;
+    for id in 0..tasks as u32 {
+        let w =
+            if dyadic { rng.gen_range(8..=64u32) as f64 / 8.0 } else { rng.gen_range(1.0..8.0) };
+        snap.weights.push(w);
+        snap.tenant_of.push(rng.gen_range(0..num_tenants));
+        snap.stacks[rng.gen_range(0..n)].push(id, w);
+    }
+    snap.live = tasks;
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every incremental aggregate matches its from-scratch
+    /// recomputation after every epoch, under churn, a scripted and
+    /// stochastic domain outages, every admission policy, one or three
+    /// tenants, every arrival placement and both a sharded and a
+    /// sequential rebalance policy — and a checkpoint→restore at a
+    /// random epoch resumes bit-identically with the caches rebuilt.
+    /// Non-dyadic runs (uniform initial weights, Pareto arrivals) pin the
+    /// `w_max` and violation counts at weights whose sums round.
+    #[test]
+    fn cached_aggregates_match_a_from_scratch_oracle(
+        admission_ix in 0usize..4,
+        three_tenants in any::<bool>(),
+        placement_ix in 0usize..3,
+        mixed in any::<bool>(),
+        dyadic in any::<bool>(),
+        pause in 1u64..11,
+        seed in any::<u64>(),
+    ) {
+        let n = 24;
+        let epochs = 12u64;
+        let admission = [
+            AdmissionPolicy::None,
+            AdmissionPolicy::StaticCap { max_live: 5 * n },
+            AdmissionPolicy::TokenBucket { rate: 6.0, burst: 12.0 },
+            AdmissionPolicy::LoadShed { max_mean_load: 20.0 },
+        ][admission_ix];
+        let mut cfg = robust_cfg(n, admission, seed, epochs, 1);
+        cfg.arrival_placement = [
+            ArrivalPlacement::Uniform,
+            ArrivalPlacement::MostLoaded,
+            ArrivalPlacement::Adaptive { spread: 5 },
+        ][placement_ix];
+        cfg.tenants = if three_tenants {
+            vec![
+                TenantSpec::new("tight", ThresholdPolicy::Tight, 1.0),
+                TenantSpec::new("mid", ThresholdPolicy::AboveAverage { epsilon: 0.2 }, 2.0),
+                TenantSpec::new("loose", ThresholdPolicy::AboveAverage { epsilon: 1.0 }, 1.0),
+            ]
+        } else {
+            vec![TenantSpec::new("only", ThresholdPolicy::AboveAverage { epsilon: 0.2 }, 1.0)]
+        };
+        if mixed {
+            cfg.rebalance = RebalancePolicy::Mixed {
+                departure: Departure::Bernoulli,
+                alpha: 1.0,
+                walk: WalkKind::MaxDegree,
+            };
+        }
+        if !dyadic {
+            cfg.arrival_weights = ArrivalWeights::ParetoTruncated { alpha: 1.5, cap: 20.0 };
+        }
+        let tenants = TenantSet::new(cfg.tenants.clone());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = random_regular(n, 4, &mut rng).unwrap();
+        let mut snap = OnlineSim::new(g.clone(), cfg).checkpoint().unwrap();
+        population(&mut snap, 4 * n, dyadic, &mut rng);
+
+        let mut full = OnlineSim::restore(snap.clone(), g.clone()).unwrap();
+        prop_assert_eq!(
+            full.live_w_max().to_bits(),
+            live_w_max(&snap.stacks, &snap.weights).to_bits()
+        );
+        let mut resumed = None;
+        while full.epoch() < epochs {
+            full.run_epoch();
+            assert_cached_aggregates_match(&mut full, &tenants, dyadic);
+            if full.epoch() == pause {
+                let json = full.checkpoint().unwrap().to_json().unwrap();
+                resumed = Some(OnlineSim::restore(SimSnapshot::from_json(&json).unwrap(), g.clone()).unwrap());
+            }
+        }
+        let mut resumed = resumed.expect("pause < epochs");
+        while resumed.epoch() < epochs {
+            resumed.run_epoch();
+            assert_cached_aggregates_match(&mut resumed, &tenants, dyadic);
+        }
+        prop_assert_eq!(resumed.records(), &full.records()[pause as usize..]);
+    }
 
     /// A full churned run of the resource policy reports identically at
     /// every shard count, for both walk kinds, on a random expander.

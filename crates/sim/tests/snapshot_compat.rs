@@ -138,3 +138,62 @@ fn restore_rejects_a_zero_arrival_rate() {
     });
     assert!(err.contains("rate"), "unhelpful error: {err}");
 }
+
+/// Take the top task off the first non-empty stack, as if it had never
+/// been stacked, and drop `live` to match. Returns its id.
+fn unstack_one(snap: &mut SimSnapshot) -> u32 {
+    let stack = snap.stacks.iter_mut().find(|s| !s.is_empty()).expect("fixture has tasks");
+    let mut out = Vec::new();
+    stack.remove_positions_into(&[stack.num_tasks() - 1], &snap.weights, &mut out);
+    snap.live -= 1;
+    out[0]
+}
+
+// Task-id tables whose counts add up but whose stacked and free ids do
+// not partition the slot table. Each used to restore and then panic or
+// corrupt a slot at the first admission.
+
+#[test]
+fn restore_rejects_an_out_of_range_free_id() {
+    let err = restore_err(|snap| {
+        unstack_one(snap);
+        snap.free_ids.push(1_000_000);
+    });
+    assert!(err.contains("free id 1000000 outside"), "unhelpful error: {err}");
+}
+
+#[test]
+fn restore_rejects_a_duplicate_free_id() {
+    let err = restore_err(|snap| {
+        let freed = unstack_one(snap);
+        snap.free_ids.push(freed);
+        unstack_one(snap);
+        snap.free_ids.push(freed);
+    });
+    assert!(err.contains("listed twice"), "unhelpful error: {err}");
+}
+
+#[test]
+fn restore_rejects_an_id_both_stacked_and_free() {
+    let err = restore_err(|snap| {
+        unstack_one(snap);
+        let still_stacked = a_stacked_task(snap) as u32;
+        snap.free_ids.push(still_stacked);
+    });
+    assert!(err.contains("also stacked"), "unhelpful error: {err}");
+}
+
+#[test]
+fn restore_rejects_an_id_stacked_twice() {
+    let err = restore_err(|snap| {
+        let t = unstack_one(snap);
+        let w = snap.weights[t as usize];
+        unstack_one(snap);
+        // The counts add up again, but `t` sits twice and the second
+        // unstacked id nowhere.
+        snap.stacks[0].push(t, w);
+        snap.stacks[0].push(t, w);
+        snap.live += 2;
+    });
+    assert!(err.contains("stacked twice"), "unhelpful error: {err}");
+}
