@@ -5,11 +5,14 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tlb_core::mixed_protocol::{run_mixed, MixedConfig};
+use tlb_baselines::{BaselineConfig, BaselineRule};
+use tlb_core::mixed_protocol::{run_mixed, Departure, MixedConfig};
 use tlb_core::prelude::*;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::generators::{complete, torus2d};
-use tlb_sim::{ArrivalProcess, ChurnEvent, ChurnProcess, OnlineSim, SimConfig, TenantSpec};
+use tlb_sim::{
+    ArrivalProcess, ChurnEvent, ChurnProcess, OnlineSim, RebalancePolicy, SimConfig, TenantSpec,
+};
 
 /// The tentpole acceptance scenario: tasks stream in *while* resources
 /// leave; once arrivals stop, the protocol must pull the system back
@@ -160,6 +163,112 @@ fn resource_policy_online_trajectory_is_pinned() {
         let sharded = OnlineSim::new(torus2d(6, 6), SimConfig { shards, ..cfg.clone() }).run();
         assert_eq!(report, sharded, "shards={shards} diverged from the pinned trajectory");
     }
+}
+
+/// The online trajectory of `SimConfig` seed 4242 (the resource golden's
+/// scenario) under a sequential rebalancing policy: totals plus the last
+/// max-load bits.
+fn sequential_policy_trajectory(rebalance: RebalancePolicy) -> (u64, u64, u64, u64, u64) {
+    let cfg = SimConfig {
+        name: "golden".into(),
+        epochs: 40,
+        seed: 4242,
+        arrivals: ArrivalProcess::Poisson { rate: 12.0 },
+        departure_prob: 0.05,
+        churn: ChurnProcess {
+            scripted: vec![],
+            random_down: 0.04,
+            random_up: 0.06,
+            ..Default::default()
+        },
+        rebalance,
+        rounds_per_epoch: 32,
+        ..Default::default()
+    };
+    let report = OnlineSim::new(torus2d(6, 6), cfg).run();
+    (
+        report.total_arrivals,
+        report.total_departures,
+        report.total_migrations,
+        report.records.iter().map(|r| r.rebalance_rounds).sum(),
+        report.last().unwrap().max_load.to_bits(),
+    )
+}
+
+/// Golden trajectory pin for the mixed policy's online stream (Bernoulli
+/// departure coins drawn from the epoch's sequential RNG, walk words from
+/// one round seed per round). Any future change to these values needs its
+/// own justified re-pin per the policy in `vendor/README.md`.
+#[test]
+fn mixed_policy_online_trajectory_is_pinned() {
+    let policy = RebalancePolicy::Mixed {
+        departure: Departure::Bernoulli,
+        alpha: 1.0,
+        walk: tlb_walks::WalkKind::MaxDegree,
+    };
+    assert_eq!(
+        sequential_policy_trajectory(policy),
+        (453, 250, 371, 156, 4619567317775286272),
+        "(arrivals, departures, migrations, rounds, last max-load bits) moved"
+    );
+}
+
+/// Golden trajectory pin for the baseline policy's online stream
+/// (`Greedy[2]` re-placement over the non-isolated nodes).
+#[test]
+fn baseline_policy_online_trajectory_is_pinned() {
+    let policy = RebalancePolicy::Baseline { rule: BaselineRule::Greedy { d: 2 } };
+    assert_eq!(
+        sequential_policy_trajectory(policy),
+        (453, 250, 131, 49, 4619567317775286272),
+        "(arrivals, departures, migrations, rounds, last max-load bits) moved"
+    );
+}
+
+/// Golden pin for every baseline rule run as a one-shot rebalancing
+/// protocol, and for the user protocol's shuffled-arrival path: rounds,
+/// migrations and bit-exact loads.
+#[test]
+fn baseline_and_shuffled_user_one_shot_outcomes_are_pinned() {
+    let tasks = TaskSet::new((0..360).map(|i| 1.0 + (i % 5) as f64).collect::<Vec<_>>());
+    let g = complete(30);
+    for (rule, seed, pin) in [
+        (BaselineRule::Greedy { d: 1 }, 501, (8, 408, 4630967054332067840, 4630404104378646528)),
+        (BaselineRule::Greedy { d: 2 }, 502, (2, 347, 4630967054332067840, 4630404104378646528)),
+        (
+            BaselineRule::OnePlusBeta { beta: 0.5 },
+            503,
+            (3, 357, 4630967054332067840, 4629700416936869888),
+        ),
+        (
+            BaselineRule::SequentialThreshold { retries: 3 },
+            504,
+            (4, 346, 4630967054332067840, 4630967054332067840),
+        ),
+        (BaselineRule::ParallelThreshold, 505, (8, 346, 4630967054332067840, 4628574517030027264)),
+    ] {
+        let cfg = BaselineConfig { rule, threshold: ThresholdPolicy::Tight, ..Default::default() };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut stepper = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(3), &mut rng);
+        stepper.run(&g, &mut rng);
+        let out = stepper.into_outcome();
+        assert!(out.balanced(), "{}", rule.label());
+        let got = (
+            out.rounds,
+            out.migrations,
+            out.final_max_load.to_bits(),
+            out.final_loads[0].to_bits(),
+        );
+        assert_eq!(got, pin, "{}: (rounds, migrations, max-load bits, load[0] bits)", rule.label());
+    }
+
+    let ucfg = UserControlledConfig { shuffle_arrivals: true, ..Default::default() };
+    let mut rng = SmallRng::seed_from_u64(888);
+    let uout = run_user_controlled(40, &tasks, Placement::AllOnOne(0), &ucfg, &mut rng);
+    assert_eq!(uout.rounds, 16);
+    assert_eq!(uout.migrations, 417);
+    assert_eq!(uout.final_max_load.to_bits(), 4630404104378646528);
+    assert_eq!(uout.final_loads[0].to_bits(), 4629841154425225216);
 }
 
 /// Refactor contract (pinned before the stepper refactor, from commit
