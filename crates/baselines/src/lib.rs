@@ -26,10 +26,12 @@
 //! papers' settings exactly) and report the final load vector plus the
 //! *gap* `max load − average load`, the quantity the related work bounds.
 //!
-//! The [`stepper`] module additionally adapts each placement rule into an
-//! iterative rebalancing protocol behind
-//! [`tlb_core::protocol::Protocol`], so the baselines run inside the same
-//! generic harness/simulation paths as the paper protocols.
+//! Each placement rule also runs as an iterative rebalancing protocol:
+//! [`BaselineRule`] and [`BaselineConfig`] (re-exported from
+//! `tlb_core::baseline_protocol`) select it as the move stage of the one
+//! `tlb_core::protocol::Stepper`, through
+//! `tlb_core::protocol::ProtocolKind::Baseline`, so the baselines run
+//! inside the same harness and simulation paths as the paper protocols.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,9 +40,10 @@ pub mod greedy;
 pub mod one_plus_beta;
 pub mod parallel_threshold;
 pub mod sequential_threshold;
-pub mod stepper;
+#[cfg(test)]
+mod stepper;
 
-pub use stepper::{BaselineConfig, BaselineRule, BaselineStepper};
+pub use tlb_core::baseline_protocol::{BaselineConfig, BaselineRule};
 
 /// Final state every baseline reports.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,14 +13,14 @@
 //!   uniformly random resource with probability `α·⌈φ_r/w_max⌉·(1/b_r)`
 //!   ([`user_protocol`]),
 //! * each protocol both as a one-shot `run_*` entry point and as the
-//!   resumable stepper engine underneath it (`new → step → into_outcome`),
-//!   which the online simulation crate (`tlb-sim`) drives round by round
-//!   between streaming arrivals and resource churn,
-//! * the **protocol abstraction** ([`protocol`]) every stepper plugs
-//!   into: the shared [`protocol::RoundEngine`] round machinery, the
-//!   object-safe [`protocol::Protocol`] stepping trait, and the
-//!   [`protocol::ProtocolKind`]/[`protocol::AnyStepper`] dispatch pair
-//!   (see "Protocol abstraction" below),
+//!   resumable [`protocol::Stepper`] underneath it (`new_stepper → step
+//!   → into_outcome`), which the online simulation crate (`tlb-sim`)
+//!   drives round by round between streaming arrivals and resource churn,
+//! * the **protocol engine** ([`protocol`]): one [`protocol::Stepper`]
+//!   built from an eject stage and a move stage, and the
+//!   [`protocol::ProtocolKind`] value that picks them (see "Protocol
+//!   engine" below), plus the related-work placement rules run as
+//!   rebalancing protocols ([`baseline_protocol`]),
 //! * the **fragment surface** ([`fragment`]): the stepper state from
 //!   `into_parts()` split into contiguous per-shard
 //!   [`fragment::StackFragment`]s, the unit of parallelism of the
@@ -34,36 +34,28 @@
 //!   assignments ([`assignment`], Section 5.2) and the footnote-1 diffusion
 //!   scheme for estimating the average load ([`diffusion`]).
 //!
-//! ## Protocol abstraction
+//! ## Protocol engine
 //!
-//! All protocol variants — the two paper protocols, the Section-8 mixed
-//! extension, and the baseline adapters in `tlb-baselines` — implement
-//! one contract, [`protocol::Protocol`]:
+//! Every protocol — the two paper protocols, the Section-8 mixed
+//! extension, and the related-work baselines — runs on one concrete
+//! [`protocol::Stepper`]. A round is `begin → eject → move → apply →
+//! finish`, and only two stages vary:
 //!
-//! * **object-safe stepping surface** — `step(&Graph, &mut dyn RngCore)
-//!   -> bool` (one round; `true` when done), `is_done`, `is_balanced`,
-//!   `rounds`, `migrations`, `threshold`, `stacks`, `into_parts`,
-//!   `into_outcome`. Every variant takes the graph in `step` (the
-//!   user-controlled protocol ignores it), so a `Box<dyn Protocol>`
-//!   ([`protocol::AnyStepper`]) drives any variant without per-variant
-//!   dispatch;
-//! * **associated `Config`/`Outcome`** — on [`protocol::ProtocolSpec`],
-//!   together with the `new_stepper`/`resume` constructors, for code
-//!   generic over a statically known variant. All in-tree outcomes are
-//!   aliases of the unified [`protocol::ProtocolOutcome`];
-//! * **one round engine** — the shared machinery (cohort collection
-//!   buffers, migration/potential/trace accounting, completion
-//!   detection) lives in [`protocol::RoundEngine`]; a variant contributes
-//!   only its departure and movement rules between `begin_round` and
-//!   `finish_round`.
+//! * **eject** — all cutting and above tasks `I_a ∪ I_c` (Algorithm 5.1,
+//!   the baselines, mixed with `Departure::AllActive`) or an independent
+//!   coin per task with probability `α·⌈φ_r/w_max⌉/b_r` (Algorithm 6.1,
+//!   mixed with `Departure::Bernoulli`);
+//! * **move** — one walk step (Algorithm 5.1, mixed), a uniform jump over
+//!   all resources (Algorithm 6.1), or a baseline placement rule.
 //!
-//! **RNG-stream guarantee of the trait surface:** dispatching through
-//! `dyn Protocol` (or constructing through
-//! [`protocol::ProtocolKind::new_stepper`]) consumes exactly the word
-//! stream the concrete stepper consumes — same draws, same order — so
-//! trait-driven runs are bit-identical to direct stepper calls. This is
-//! part of the per-version determinism contract below and is pinned by
-//! `tests/integration_protocol_trait.rs` for every variant.
+//! The shared machinery — the cohort buffers, the
+//! migration/potential/trace accounting, completion detection — is the
+//! stepper's own. [`protocol::ProtocolKind`] is the one "which protocol"
+//! value: it validates the parameters, picks the two stages, and builds
+//! the stepper (`new_stepper` over a fresh placement, `stepper_from_parts`
+//! over existing stacks). Its constructors and `step` are generic over
+//! the caller's `R: Rng + ?Sized`, so every round is a monomorphic call,
+//! and every run reports a [`protocol::ProtocolOutcome`].
 //!
 //! ## Determinism & RNG stream policy
 //!
@@ -117,6 +109,7 @@
 #![forbid(unsafe_code)]
 
 pub mod assignment;
+pub mod baseline_protocol;
 pub mod diffusion;
 pub mod drift;
 pub mod fragment;
@@ -137,19 +130,16 @@ pub mod weights;
 pub mod prelude {
     pub use crate::fragment::StackFragment;
     pub use crate::placement::Placement;
-    pub use crate::protocol::{
-        AnyStepper, Protocol, ProtocolKind, ProtocolOutcome, ProtocolParts, ProtocolSpec,
-        RoundEngine,
-    };
+    pub use crate::protocol::{ProtocolKind, ProtocolOutcome, Stepper};
     pub use crate::resource_protocol::{
         run_resource_controlled, run_resource_controlled_with_stats, ResourceControlledConfig,
-        ResourceControlledOutcome, ResourceControlledStepper,
+        ResourceControlledOutcome,
     };
     pub use crate::task::{TaskId, TaskSet};
     pub use crate::threshold::ThresholdPolicy;
     pub use crate::user_protocol::{
         run_user_controlled, run_user_controlled_with_stats, UserControlledConfig,
-        UserControlledOutcome, UserControlledStepper,
+        UserControlledOutcome,
     };
     pub use crate::weights::WeightSpec;
 }

@@ -1,60 +1,64 @@
-//! The protocol abstraction: one round engine, one stepping contract.
+//! The protocol engine: one [`Stepper`] for every protocol, built from a
+//! departure (eject) stage and a movement (move) stage.
 //!
-//! The three threshold-rebalancing variants ([`resource_protocol`],
-//! [`user_protocol`], [`mixed_protocol`]) share everything about a round
-//! except the departure rule and the movement rule: collect a cohort of
-//! departing tasks off the overloaded stacks, move the cohort, stack the
-//! arrivals, account (migration counter, potential series, trace), check
-//! balance. This module owns that shared machinery and the contract the
-//! rest of the system programs against:
+//! Algorithms 5.1 and 6.1 differ in only two rules, and the Section-8
+//! mixed protocol and the related-work baselines combine the same two
+//! rules in other ways. Every round of every protocol is therefore the
+//! same pipeline:
 //!
-//! * [`RoundEngine`] — the shared round state every stepper embeds: the
-//!   per-resource stacks, weight vector, threshold, reused round buffers,
-//!   and the counters/series/trace. A variant's `step` is `begin_round →
-//!   (its departure + movement phases, touching the engine's public
-//!   buffers) → finish_round`.
-//! * [`ProtocolOutcome`] — the one outcome shape every run reports (the
-//!   per-variant outcome names are aliases of it).
-//! * [`Protocol`] — the **object-safe** stepping surface
-//!   (`step(&Graph, &mut dyn RngCore) -> bool`, `is_done`, `rounds`,
-//!   `migrations`, `threshold`, `stacks`, `into_parts`, `into_outcome`),
-//!   implemented by all three steppers here and by the baseline adapters
-//!   in `tlb-baselines`. Layers that dispatch over protocol variants
-//!   (the online simulation, the experiment harness, the
-//!   `protocol_matrix` driver) hold an [`AnyStepper`] instead of
-//!   re-implementing a per-variant `match`.
-//! * [`ProtocolSpec`] — the associated-types half of the contract
-//!   (`Config`/`Outcome` plus the constructors), for code generic over a
-//!   *statically known* protocol.
-//! * [`ProtocolKind`] — the serializable "which variant + its config"
-//!   value that constructs an [`AnyStepper`].
+//! 1. **begin** — bump the round counter, clear the round buffers;
+//! 2. **eject** — every overloaded resource sends tasks into the round
+//!    cohort (`cohort[i]` leaves from `positions[i]`, in node order):
+//!    either all its cutting and above tasks `I_a ∪ I_c` (Algorithm 5.1),
+//!    or each task independently with probability `α·⌈φ_r/w_max⌉/b_r`
+//!    (Algorithm 6.1);
+//! 3. **move** — one walk step of the configured [`WalkKind`]
+//!    (Algorithm 5.1, mixed), a uniform jump over all resources
+//!    (Algorithm 6.1), or a related-work placement rule
+//!    ([`baseline_protocol`]);
+//! 4. **apply** — stack the arrivals; acceptance is implicit in the stack
+//!    heights (the baseline rules read live loads, so they stack as they
+//!    place);
+//! 5. **finish** — account migrations, the potential series and the
+//!    trace, and check balance.
 //!
-//! ## RNG-stream guarantee
+//! [`ProtocolKind`] — the serializable "which protocol, with which
+//! config" value — picks the two stages and builds the [`Stepper`]; the
+//! stepper matches on its stages once per round, never per task. The
+//! one-shot `run_*` entry points of [`resource_protocol`],
+//! [`user_protocol`] and [`mixed_protocol`] are `new_stepper → run →
+//! into_outcome` over it.
 //!
-//! Trait dispatch adds **no draws and reorders none**: `Protocol::step`
-//! delegates to the very same monomorphic round body the inherent
-//! `step` runs, with the RNG behind a `&mut dyn RngCore` — the word
-//! stream is identical, so an [`AnyStepper`]-driven run is bit-identical
-//! to calling the concrete stepper directly (pinned per variant in
-//! `tests/integration_protocol_trait.rs`).
+//! ## RNG-stream contract
+//!
+//! A round draws, in this order: the round seed of a walk move (one
+//! word, before any departure coin; every walk word of the round derives
+//! from it); the Bernoulli departure coins, in node order; then the
+//! move's own words — the arrival shuffle of a walk move (after the
+//! step), or the arrival shuffle and one bulk destination word per
+//! migrant of the uniform move, or the baseline rule's bin choices. The
+//! all-active ejection draws nothing.
 //!
 //! [`resource_protocol`]: crate::resource_protocol
 //! [`user_protocol`]: crate::user_protocol
 //! [`mixed_protocol`]: crate::mixed_protocol
+//! [`baseline_protocol`]: crate::baseline_protocol
 
-use rand::RngCore;
+use rand::{lemire_u64, Rng};
 use serde::{Deserialize, Serialize};
 use tlb_graphs::{Graph, NodeId};
-use tlb_walks::WalkKind;
+use tlb_walks::{step_cohort, WalkKind};
 
-use crate::mixed_protocol::{MixedConfig, MixedStepper};
+use crate::baseline_protocol::{self, BaselineConfig, BaselineRule};
+use crate::mixed_protocol::{Departure, MixedConfig};
 use crate::placement::Placement;
 use crate::potential::{is_balanced, max_load, total_potential};
-use crate::resource_protocol::{ResourceControlledConfig, ResourceControlledStepper};
+use crate::resource_protocol::ResourceControlledConfig;
 use crate::stack::ResourceStack;
 use crate::task::{TaskId, TaskSet};
+use crate::threshold::ThresholdPolicy;
 use crate::trace::RoundTrace;
-use crate::user_protocol::{UserControlledConfig, UserControlledStepper};
+use crate::user_protocol::UserControlledConfig;
 
 /// Result of any protocol run. The per-variant outcome names
 /// (`ResourceControlledOutcome`, `UserControlledOutcome`, `MixedOutcome`)
@@ -88,38 +92,16 @@ impl ProtocolOutcome {
     }
 }
 
-/// Largest weight among the *stacked* tasks (0 when no task is stacked).
-/// The checkpoint surface of variants that never read `w_max` uses this
-/// instead of carrying a dead value around.
+/// Largest weight among the *stacked* tasks (0 when no task is stacked):
+/// the `w_max` a dynamic caller hands to
+/// [`ProtocolKind::stepper_from_parts`] when its weight vector carries
+/// freed slots.
 pub fn live_w_max(stacks: &[ResourceStack], weights: &[f64]) -> f64 {
     stacks
         .iter()
         .flat_map(|s| s.tasks().iter())
         .map(|&t| weights[t as usize])
         .fold(0.0, f64::max)
-}
-
-/// The serializable resume surface of a protocol stepper: everything
-/// [`ProtocolSpec::resume`] needs to rebuild one, captured by
-/// [`Protocol::snapshot_parts`]. Counters (rounds, migrations) are *not*
-/// part of it — they are per-pass accounting a dynamic caller reads off
-/// before checkpointing, and a resumed stepper starts its own pass.
-///
-/// Pair it with a [`ProtocolKind`] (or a `ProtocolSpec::Config`) to get
-/// a running stepper back: `kind.resume_parts(parts)` is bit-identical
-/// to the stepper the parts were taken from, for every variant and the
-/// baseline adapters (proptested in `tests/proptests.rs`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProtocolParts {
-    /// Per-resource stacks (index = resource id).
-    pub stacks: Vec<ResourceStack>,
-    /// Weight per task id.
-    pub weights: Vec<f64>,
-    /// The threshold the pass balances against.
-    pub threshold: f64,
-    /// The `w_max` the user/mixed migration law divides by (recomputed
-    /// over the stacked tasks for variants that never read it).
-    pub w_max: f64,
 }
 
 /// Deterministic per-pass observability counters, accumulated by the
@@ -132,7 +114,7 @@ pub struct ProtocolParts {
 /// bit-identical across thread counts and identical for a replayed
 /// stream. They are *not* part of [`ProtocolOutcome`] (whose serialized
 /// shape is pinned by goldens); the obs layer reads them off through
-/// [`Protocol::obs_stats`].
+/// [`Stepper::obs_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Walk-kernel steps taken (one per cohort member per batched step).
@@ -161,42 +143,54 @@ impl EngineStats {
     }
 }
 
-/// The shared round state every protocol stepper embeds (see the module
-/// docs). Variant `step` implementations work directly on the public
-/// buffers between [`begin_round`](Self::begin_round) and
-/// [`finish_round`](Self::finish_round); the counters, potential series,
-/// trace, and completion flag are private so the accounting cannot drift
-/// between variants.
+/// The eject stage: which tasks leave an overloaded resource.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Eject {
+    /// All cutting and above tasks, `I_a ∪ I_c` (Algorithm 5.1). Draws no
+    /// RNG.
+    AllActive,
+    /// Each task independently with probability `α·⌈φ_r/w_max⌉/b_r`
+    /// (Algorithm 6.1).
+    Bernoulli { alpha: f64, w_max: f64 },
+}
+
+/// The move stage: where the ejected cohort goes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Move {
+    /// One walk step of the given kind.
+    Walk(WalkKind),
+    /// A uniform jump over all resources; never reads the graph.
+    Uniform,
+    /// A related-work placement rule over the graph's non-isolated nodes.
+    Baseline(BaselineRule),
+}
+
+/// The round state a [`Stepper`] owns: the per-resource stacks, the
+/// weight vector, the reused round buffers, and the accounting. The
+/// stage bodies work on the buffers between
+/// [`begin_round`](Self::begin_round) and
+/// [`finish_round`](Self::finish_round); the counters, series, trace and
+/// completion flag are private so the accounting is the same for every
+/// protocol.
 #[derive(Debug, Clone)]
-pub struct RoundEngine {
+pub(crate) struct RoundEngine {
     /// Per-resource stacks (index = resource id).
-    pub stacks: Vec<ResourceStack>,
+    pub(crate) stacks: Vec<ResourceStack>,
     /// Weight per task id.
-    pub weights: Vec<f64>,
-    /// Round buffer: the departing tasks of the current round, in
-    /// ejection order. Cleared by [`begin_round`](Self::begin_round).
-    pub cohort: Vec<TaskId>,
-    /// Round buffer parallel to `cohort`: source positions going in, walk
-    /// destinations after [`tlb_walks::step_cohort`]. Cleared by
-    /// `begin_round`.
-    pub positions: Vec<NodeId>,
-    /// Round buffer: arrival task ids, parallel to
-    /// [`pending_dests`](Self::pending_dests), for variants that
-    /// materialize (and possibly shuffle) the arrival order. Stored as
-    /// two flat parallel arrays rather than a `Vec<(TaskId, NodeId)>`:
-    /// the arrival loop reads ids and destinations in separate streams,
-    /// and the structure-of-arrays form keeps each stream dense (8 B per
-    /// entry per array instead of one padded 8 B tuple holding both) —
-    /// shuffling applies one permutation to both via
-    /// [`rand::seq::shuffle_paired`], which draws the exact words the
-    /// tuple shuffle drew.
-    pub pending_tasks: Vec<TaskId>,
-    /// Round buffer: arrival destinations, parallel to
-    /// [`pending_tasks`](Self::pending_tasks).
-    pub pending_dests: Vec<NodeId>,
-    /// Round buffer: bulk-generated destination words (user-style uniform
-    /// re-placement).
-    pub dest_words: Vec<u64>,
+    pub(crate) weights: Vec<f64>,
+    /// The departing tasks of the current round, in ejection order.
+    pub(crate) cohort: Vec<TaskId>,
+    /// Parallel to `cohort`: source resources after the eject stage,
+    /// destinations after a walk or uniform move.
+    pub(crate) positions: Vec<NodeId>,
+    /// Bulk-generated destination words of the uniform move.
+    dest_words: Vec<u64>,
+    /// Candidate bins of the baseline move (non-isolated nodes).
+    pub(crate) candidates: Vec<NodeId>,
+    /// Parallel-threshold wave: cohort slots, parallel to `pending_dests`.
+    pub(crate) pending_slots: Vec<u32>,
+    /// Parallel-threshold wave: the drawn bins.
+    pub(crate) pending_dests: Vec<NodeId>,
     threshold: f64,
     max_rounds: u64,
     track_potential: bool,
@@ -214,7 +208,7 @@ impl RoundEngine {
     ///
     /// # Panics
     /// If the stack vector is empty.
-    pub fn new(
+    fn new(
         stacks: Vec<ResourceStack>,
         weights: Vec<f64>,
         threshold: f64,
@@ -234,9 +228,10 @@ impl RoundEngine {
             weights,
             cohort: Vec::new(),
             positions: Vec::new(),
-            pending_tasks: Vec::new(),
-            pending_dests: Vec::new(),
             dest_words: Vec::new(),
+            candidates: Vec::new(),
+            pending_slots: Vec::new(),
+            pending_dests: Vec::new(),
             threshold,
             max_rounds,
             track_potential,
@@ -249,41 +244,72 @@ impl RoundEngine {
         }
     }
 
-    /// Whether every load is at most the threshold.
-    pub fn is_balanced(&self) -> bool {
-        self.completed
-    }
-
     /// Whether the run is over: balanced, or the round cap was hit.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.completed || self.rounds >= self.max_rounds
     }
 
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
     /// The threshold this run balances against.
-    pub fn threshold(&self) -> f64 {
+    pub(crate) fn threshold(&self) -> f64 {
         self.threshold
     }
 
-    /// Deterministic observability counters accumulated so far.
-    pub fn obs_stats(&self) -> EngineStats {
-        self.stats
+    /// Open a round: bump the round counter and clear the cohort buffers.
+    /// Callers must have checked [`is_done`](Self::is_done) first.
+    fn begin_round(&mut self) {
+        debug_assert!(!self.is_done(), "begin_round on a finished run");
+        self.rounds += 1;
+        self.cohort.clear();
+        self.positions.clear();
     }
 
-    /// Account one walk step of the current cohort (call right after
-    /// [`tlb_walks::step_cohort`]): `positions.len()` steps, classified by
-    /// walk kind and by whether the kernel's regular fast path applies.
-    /// Reads only lengths and cached degree bounds — no RNG, no clock.
-    pub fn note_walk_batch(&mut self, g: &Graph, kind: WalkKind) {
+    /// Eject stage, Algorithm 5.1: every overloaded resource ejects
+    /// `I_a ∪ I_c` into the cohort, in node order.
+    fn eject_active(&mut self) {
+        let threshold = self.threshold;
+        for r in 0..self.stacks.len() as NodeId {
+            let stack = &mut self.stacks[r as usize];
+            if stack.is_overloaded(threshold) {
+                stack.remove_active_into(threshold, &self.weights, &mut self.cohort);
+                // One source entry per task ejected by this resource.
+                self.positions.resize(self.cohort.len(), r);
+            }
+        }
+    }
+
+    /// Eject stage, Algorithm 6.1: every task on an overloaded resource
+    /// flips an independent coin with the resource's migration
+    /// probability, in node order.
+    fn eject_bernoulli<R: Rng + ?Sized>(&mut self, alpha: f64, w_max: f64, rng: &mut R) {
+        let threshold = self.threshold;
+        for r in 0..self.stacks.len() as NodeId {
+            let stack = &mut self.stacks[r as usize];
+            if !stack.is_overloaded(threshold) {
+                continue;
+            }
+            let psi = stack.psi(threshold, &self.weights, w_max);
+            debug_assert!(psi >= 1, "overloaded resource must have psi >= 1");
+            let p = (alpha * psi as f64 / stack.num_tasks() as f64).min(1.0);
+            // Appends into the round-reused buffer — no per-resource
+            // allocation in the departure phase.
+            stack.drain_bernoulli_into(p, &self.weights, rng, &mut self.cohort);
+            self.positions.resize(self.cohort.len(), r);
+        }
+    }
+
+    /// Move stage, walk: the whole cohort takes one step (words seeded
+    /// by `round_seed`); with `shuffle`, the arrival order is then
+    /// permuted uniformly.
+    fn walk<R: Rng + ?Sized>(
+        &mut self,
+        g: &Graph,
+        kind: WalkKind,
+        round_seed: u64,
+        shuffle: bool,
+        rng: &mut R,
+    ) {
+        step_cohort(g, kind, &mut self.positions, round_seed);
+        // Account the step: reads only lengths and cached degree bounds.
         let n = self.positions.len() as u64;
         self.stats.walk_steps += n;
         if kind == WalkKind::Lazy {
@@ -292,27 +318,44 @@ impl RoundEngine {
         if g.max_degree() > 0 && g.is_regular() {
             self.stats.regular_fast_path_hits += n;
         }
+        if shuffle {
+            rand::seq::shuffle_paired(&mut self.cohort, &mut self.positions, rng);
+        }
     }
 
-    /// Account one bulk uniform re-placement (user-style arrival phase):
-    /// one destination word per cohort member.
-    pub fn note_uniform_batch(&mut self) {
+    /// Move stage, uniform: with `shuffle`, permute the arrival order;
+    /// then give every migrant a uniformly random destination.
+    /// Destinations are bulk-generated — one word per migrant, mapped
+    /// with the same Lemire multiply `gen_range` uses — so the draws are
+    /// those of a per-migrant `gen_range` loop in one register-resident
+    /// fill.
+    fn jump_uniform<R: Rng + ?Sized>(&mut self, shuffle: bool, rng: &mut R) {
+        if shuffle {
+            rand::seq::shuffle_paired(&mut self.cohort, &mut self.positions, rng);
+        }
+        // Resize only (no clear): the fill overwrites every live slot.
+        self.dest_words.resize(self.cohort.len(), 0);
+        rng.fill_u64(&mut self.dest_words);
         self.stats.uniform_jump_draws += self.cohort.len() as u64;
+        let n = self.stacks.len() as u64;
+        for (dest, &word) in self.positions.iter_mut().zip(&self.dest_words) {
+            *dest = lemire_u64(word, n) as NodeId;
+        }
     }
 
-    /// Open a round: bump the round counter and clear the cohort buffers.
-    /// Callers must have checked [`is_done`](Self::is_done) first.
-    pub fn begin_round(&mut self) {
-        debug_assert!(!self.is_done(), "begin_round on a finished run");
-        self.rounds += 1;
-        self.cohort.clear();
-        self.positions.clear();
+    /// Apply stage: stack `cohort[i]` on `positions[i]`, in order.
+    /// Returns the number of tasks stacked.
+    pub(crate) fn apply(&mut self) -> u64 {
+        for (&t, &dest) in self.cohort.iter().zip(&self.positions) {
+            self.stacks[dest as usize].push(t, self.weights[t as usize]);
+        }
+        self.cohort.len() as u64
     }
 
     /// Close a round after `migrated` tasks were re-stacked: update the
     /// migration counter, potential series, trace, and completion flag.
     /// Returns [`is_done`](Self::is_done) after the round.
-    pub fn finish_round(&mut self, migrated: u64) -> bool {
+    fn finish_round(&mut self, migrated: u64) -> bool {
         self.migrations += migrated;
         self.stats.max_round_cohort = self.stats.max_round_cohort.max(migrated);
         if self.track_potential {
@@ -329,9 +372,8 @@ impl RoundEngine {
         self.is_done()
     }
 
-    /// Finish: consume the engine into the outcome every one-shot entry
-    /// point reports.
-    pub fn into_outcome(self) -> ProtocolOutcome {
+    /// Consume the engine into the run's outcome.
+    fn into_outcome(self) -> ProtocolOutcome {
         ProtocolOutcome {
             rounds: self.rounds,
             completed: self.completed,
@@ -343,136 +385,143 @@ impl RoundEngine {
             trace: self.trace,
         }
     }
-
-    /// Hand the stacks and weight vector back to a dynamic caller (the
-    /// inverse of [`new`](Self::new)). Read the counters before calling
-    /// this.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        (self.stacks, self.weights)
-    }
 }
 
-/// The object-safe stepping surface every protocol engine exposes — the
-/// three paper/extension steppers here and the baseline adapters in
-/// `tlb-baselines`. One `step` call is one round; the graph is passed
-/// into every step so callers may swap it between rounds (the user
-/// protocol ignores it — Algorithm 6.1 jumps uniformly).
-///
-/// Dispatching through `dyn Protocol` consumes exactly the RNG stream
-/// the concrete stepper would (see the module docs).
-pub trait Protocol {
-    /// Execute one round unless the run is already done; returns
-    /// [`is_done`](Self::is_done) after the round.
-    fn step(&mut self, g: &Graph, rng: &mut dyn RngCore) -> bool;
+/// The resumable engine of every protocol: one [`step`](Self::step) call
+/// is one round of the eject → move → apply pipeline (see the module
+/// docs). Build one with [`ProtocolKind::new_stepper`] (fresh placement)
+/// or [`ProtocolKind::stepper_from_parts`] (existing stacks). The graph
+/// is passed into each step, so the caller may swap it between rounds —
+/// the online simulation compacts its churned overlay back to CSR and
+/// keeps stepping; the uniform move never reads it.
+#[derive(Debug, Clone)]
+pub struct Stepper {
+    eject: Eject,
+    mover: Move,
+    shuffle_arrivals: bool,
+    eng: RoundEngine,
+}
 
-    /// Step until balanced or the round cap.
-    fn run(&mut self, g: &Graph, rng: &mut dyn RngCore) {
-        while !self.step(g, rng) {}
+impl Stepper {
+    /// Whether every load is at most the threshold.
+    pub fn is_balanced(&self) -> bool {
+        self.eng.completed
     }
 
     /// Whether the run is over: balanced, or the round cap was hit.
-    fn is_done(&self) -> bool;
-
-    /// Whether every load is at most the threshold.
-    fn is_balanced(&self) -> bool;
+    pub fn is_done(&self) -> bool {
+        self.eng.is_done()
+    }
 
     /// Rounds executed so far.
-    fn rounds(&self) -> u64;
+    pub fn rounds(&self) -> u64 {
+        self.eng.rounds
+    }
 
     /// Migrations performed so far.
-    fn migrations(&self) -> u64;
+    pub fn migrations(&self) -> u64 {
+        self.eng.migrations
+    }
 
     /// The threshold this run balances against.
-    fn threshold(&self) -> f64;
+    pub fn threshold(&self) -> f64 {
+        self.eng.threshold
+    }
 
     /// The per-resource stacks (index = resource id).
-    fn stacks(&self) -> &[ResourceStack];
+    pub fn stacks(&self) -> &[ResourceStack] {
+        &self.eng.stacks
+    }
 
     /// Weight per task id (freed slots of dynamic callers included).
-    fn weights(&self) -> &[f64];
-
-    /// The `w_max` of the resume surface: the value the user/mixed
-    /// migration law divides by, or the live maximum for variants that
-    /// never read it.
-    fn w_max(&self) -> f64;
-
-    /// Deterministic observability counters accumulated so far. Defaults
-    /// to zeros for steppers that do not embed the round engine (the
-    /// baseline adapters).
-    fn obs_stats(&self) -> EngineStats {
-        EngineStats::default()
+    pub fn weights(&self) -> &[f64] {
+        &self.eng.weights
     }
 
-    /// Capture the serializable resume surface without consuming the
-    /// stepper — the checkpoint half of the
-    /// [`ProtocolParts`]/[`ProtocolKind::resume_parts`] round trip.
-    fn snapshot_parts(&self) -> ProtocolParts {
-        ProtocolParts {
-            stacks: self.stacks().to_vec(),
-            weights: self.weights().to_vec(),
-            threshold: self.threshold(),
-            w_max: self.w_max(),
+    /// Deterministic observability counters accumulated so far.
+    pub fn obs_stats(&self) -> EngineStats {
+        self.eng.stats
+    }
+
+    /// Execute one round unless the run is already done. Returns
+    /// [`is_done`](Self::is_done) after the round.
+    ///
+    /// # Panics
+    /// If a [`WalkKind::Simple`] walk meets a graph with an isolated node
+    /// (the simple walk is undefined there).
+    pub fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) -> bool {
+        self.round(Some(g), rng)
+    }
+
+    /// Step until balanced or the round cap.
+    pub fn run<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
+        while !self.step(g, rng) {}
+    }
+
+    /// Finish: consume the stepper into the outcome the one-shot entry
+    /// points report.
+    pub fn into_outcome(self) -> ProtocolOutcome {
+        self.eng.into_outcome()
+    }
+
+    /// Hand the stacks and weight vector back to a dynamic caller (the
+    /// inverse of [`ProtocolKind::stepper_from_parts`]). Read the
+    /// counters before calling this.
+    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
+        (self.eng.stacks, self.eng.weights)
+    }
+
+    /// Reject a simple walk on a graph with an isolated node: checked at
+    /// construction and before every round (O(1): `min_degree` is
+    /// cached), since the caller may swap in a churned graph between
+    /// rounds, so the run fails fast instead of deep in the walk kernel.
+    fn check_graph(&self, g: &Graph) {
+        assert!(
+            self.mover != Move::Walk(WalkKind::Simple) || g.min_degree() > 0,
+            "WalkKind::Simple is undefined on isolated nodes; this graph has one"
+        );
+    }
+
+    /// One round. `g` is `None` only for the uniform move, which never
+    /// reads a graph (the user protocol's one-shot entry point has none).
+    pub(crate) fn round<R: Rng + ?Sized>(&mut self, g: Option<&Graph>, rng: &mut R) -> bool {
+        if self.eng.is_done() {
+            return true;
         }
+        if let Some(g) = g {
+            self.check_graph(g);
+        }
+        let graph = || g.expect("the walk and baseline moves read the graph");
+        self.eng.begin_round();
+        // One word per round seeds the round's counter-based walk words;
+        // the departure coins follow it on the caller's stream.
+        let round_seed = match self.mover {
+            Move::Walk(_) => rng.next_u64(),
+            Move::Uniform | Move::Baseline(_) => 0,
+        };
+        match self.eject {
+            Eject::AllActive => self.eng.eject_active(),
+            Eject::Bernoulli { alpha, w_max } => self.eng.eject_bernoulli(alpha, w_max, rng),
+        }
+        let migrated = match self.mover {
+            Move::Walk(kind) => {
+                self.eng.walk(graph(), kind, round_seed, self.shuffle_arrivals, rng);
+                self.eng.apply()
+            }
+            Move::Uniform => {
+                self.eng.jump_uniform(self.shuffle_arrivals, rng);
+                self.eng.apply()
+            }
+            Move::Baseline(rule) => {
+                baseline_protocol::place_cohort(&mut self.eng, graph(), rule, rng)
+            }
+        };
+        self.eng.finish_round(migrated)
     }
-
-    /// Hand the stacks and weight vector back to a dynamic caller.
-    fn into_parts(self: Box<Self>) -> (Vec<ResourceStack>, Vec<f64>);
-
-    /// Consume the engine into its outcome.
-    fn into_outcome(self: Box<Self>) -> ProtocolOutcome;
 }
 
-/// A boxed protocol engine — the dispatch type the online simulation and
-/// the experiment harness drive.
-pub type AnyStepper = Box<dyn Protocol + Send>;
-
-/// The associated-types half of the protocol contract: which `Config`
-/// drives the variant, which `Outcome` it reports, and the constructors
-/// — for code generic over a *statically known* protocol. (The stepping
-/// surface lives on [`Protocol`], which stays object-safe.)
-pub trait ProtocolSpec: Protocol + Sized {
-    /// Per-variant configuration.
-    type Config: Clone;
-    /// Per-variant outcome (an alias of [`ProtocolOutcome`] for all
-    /// in-tree variants).
-    type Outcome;
-
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the one-shot entry points always have) and take the initial
-    /// snapshots.
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self;
-
-    /// Resume from an existing stack configuration (consumes no RNG).
-    /// `w_max` is taken as given so dynamic callers can compute it over
-    /// their live population; variants that do not need it ignore it.
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: Self::Config,
-    ) -> Self;
-
-    /// Resume from a captured [`ProtocolParts`] (consumes no RNG) — the
-    /// statically typed restore half of
-    /// [`Protocol::snapshot_parts`].
-    fn resume_parts(parts: ProtocolParts, cfg: Self::Config) -> Self {
-        Self::resume(parts.stacks, parts.weights, parts.threshold, parts.w_max, cfg)
-    }
-
-    /// Consume the engine into its (statically typed) outcome.
-    fn outcome(self) -> Self::Outcome;
-}
-
-/// Which protocol variant to run, with its configuration — the
-/// serializable value config files and drivers hold, and the factory for
-/// [`AnyStepper`].
+/// Which protocol to run, with its configuration — the serializable value
+/// config files and drivers hold, and the one constructor of [`Stepper`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ProtocolKind {
     /// Resource-controlled (Algorithm 5.1) on arbitrary graphs.
@@ -483,219 +532,140 @@ pub enum ProtocolKind {
     /// The Section-8 mixed protocol (user-style departures,
     /// resource-style walk movement).
     Mixed(MixedConfig),
+    /// A related-work placement rule run as a rebalancing protocol
+    /// (Algorithm-5.1 ejection, the rule's re-placement).
+    Baseline(BaselineConfig),
 }
 
 impl ProtocolKind {
     /// Short stable name (report/CSV key).
-    pub fn label(&self) -> &'static str {
+    pub fn label(&self) -> String {
         match self {
-            ProtocolKind::Resource(_) => "resource",
-            ProtocolKind::User(_) => "user",
-            ProtocolKind::Mixed(_) => "mixed",
+            Self::Resource(_) => "resource".into(),
+            Self::User(_) => "user".into(),
+            Self::Mixed(_) => "mixed".into(),
+            Self::Baseline(cfg) => cfg.rule.label(),
         }
     }
 
-    /// Construct a fresh stepper over `(g, tasks, placement)`, consuming
-    /// RNG exactly as the variant's one-shot entry point would.
-    pub fn new_stepper(
+    /// Check the protocol's parameters: `α` finite and positive under
+    /// Bernoulli departures, and the baseline rule's
+    /// ([`BaselineRule::validate`]). The stepper constructors panic with
+    /// the message; `tlb-sim` returns it for configs and snapshots, so a
+    /// bad parameter never reaches a running pass.
+    pub fn validate(&self) -> Result<(), String> {
+        let alpha = match self {
+            Self::User(cfg) => cfg.alpha,
+            Self::Mixed(cfg) if cfg.departure == Departure::Bernoulli => cfg.alpha,
+            Self::Baseline(cfg) => return cfg.rule.validate(),
+            Self::Resource(_) | Self::Mixed(_) => return Ok(()),
+        };
+        if alpha.is_finite() && alpha > 0.0 {
+            Ok(())
+        } else {
+            Err(format!("alpha must be positive and finite, got {alpha}"))
+        }
+    }
+
+    /// The settings every config carries: threshold policy, round cap,
+    /// potential tracking, trace recording.
+    fn common(&self) -> (ThresholdPolicy, u64, bool, bool) {
+        match self {
+            Self::Resource(c) => (c.threshold, c.max_rounds, c.track_potential, c.record_trace),
+            Self::User(c) => (c.threshold, c.max_rounds, c.track_potential, c.record_trace),
+            Self::Mixed(c) => (c.threshold, c.max_rounds, c.track_potential, c.record_trace),
+            Self::Baseline(c) => (c.threshold, c.max_rounds, c.track_potential, c.record_trace),
+        }
+    }
+
+    /// Set up a run over `(g, tasks, placement)`: materialize the
+    /// placement (consuming RNG exactly as the one-shot entry points
+    /// always have), derive the threshold from the config's policy, and
+    /// take the initial snapshots.
+    ///
+    /// # Panics
+    /// If the graph is empty, the placement is invalid, a parameter fails
+    /// [`validate`](Self::validate), or a [`WalkKind::Simple`] walk meets
+    /// a graph with an isolated node.
+    pub fn new_stepper<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         tasks: &TaskSet,
         placement: Placement,
-        rng: &mut dyn RngCore,
-    ) -> AnyStepper {
-        match self {
-            ProtocolKind::Resource(cfg) => {
-                Box::new(ResourceControlledStepper::new(g, tasks, placement, cfg, rng))
-            }
-            ProtocolKind::User(cfg) => {
-                Box::new(UserControlledStepper::new(g.num_nodes(), tasks, placement, cfg, rng))
-            }
-            ProtocolKind::Mixed(cfg) => Box::new(MixedStepper::new(g, tasks, placement, cfg, rng)),
+        rng: &mut R,
+    ) -> Stepper {
+        let stepper = self.place(g.num_nodes(), tasks, placement, rng);
+        stepper.check_graph(g);
+        stepper
+    }
+
+    /// [`new_stepper`](Self::new_stepper) over `n` resources without a
+    /// graph, for the user protocol's one-shot entry point.
+    pub(crate) fn place<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        tasks: &TaskSet,
+        placement: Placement,
+        rng: &mut R,
+    ) -> Stepper {
+        assert!(n > 0, "need at least one resource");
+        let weights = tasks.weights().to_vec();
+        let threshold = self.common().0.value(tasks.total_weight(), n, tasks.w_max());
+        let mut stacks: Vec<ResourceStack> = vec![ResourceStack::new(); n];
+        for (i, &loc) in placement.materialize(tasks.len(), n, rng).iter().enumerate() {
+            stacks[loc as usize].push(i as TaskId, weights[i]);
         }
+        self.stepper_from_parts(stacks, weights, threshold, tasks.w_max())
     }
 
     /// Resume a stepper from an existing stack configuration (consumes no
-    /// RNG) — the online simulation's entry point. Variants that do not
-    /// need `w_max` ignore it.
+    /// RNG) — the online simulation's entry point, which mutates the
+    /// stacks between rebalancing passes. `threshold` and `w_max` are
+    /// taken as given rather than derived from the config: a dynamic
+    /// caller computes them over its *live* population, which a weight
+    /// vector with freed slots cannot express (see [`live_w_max`]). Only
+    /// Bernoulli departures read `w_max`. The counters start at zero.
+    ///
+    /// # Panics
+    /// If the stack vector is empty or a parameter fails
+    /// [`validate`](Self::validate).
     pub fn stepper_from_parts(
         &self,
         stacks: Vec<ResourceStack>,
         weights: Vec<f64>,
         threshold: f64,
         w_max: f64,
-    ) -> AnyStepper {
-        match self {
-            ProtocolKind::Resource(cfg) => Box::new(ResourceControlledStepper::from_parts(
+    ) -> Stepper {
+        if let Err(msg) = self.validate() {
+            panic!("{msg}");
+        }
+        let bernoulli = |alpha| Eject::Bernoulli { alpha, w_max };
+        let (eject, mover, shuffle_arrivals) = match self {
+            Self::Resource(c) => (Eject::AllActive, Move::Walk(c.walk), c.shuffle_arrivals),
+            Self::User(c) => (bernoulli(c.alpha), Move::Uniform, c.shuffle_arrivals),
+            Self::Mixed(c) => {
+                let eject = match c.departure {
+                    Departure::AllActive => Eject::AllActive,
+                    Departure::Bernoulli => bernoulli(c.alpha),
+                };
+                (eject, Move::Walk(c.walk), false)
+            }
+            Self::Baseline(c) => (Eject::AllActive, Move::Baseline(c.rule), false),
+        };
+        let (_, max_rounds, track_potential, record_trace) = self.common();
+        Stepper {
+            eject,
+            mover,
+            shuffle_arrivals,
+            eng: RoundEngine::new(
                 stacks,
                 weights,
                 threshold,
-                cfg.clone(),
-            )),
-            ProtocolKind::User(cfg) => Box::new(UserControlledStepper::from_parts(
-                stacks,
-                weights,
-                threshold,
-                w_max,
-                cfg.clone(),
-            )),
-            ProtocolKind::Mixed(cfg) => {
-                Box::new(MixedStepper::from_parts(stacks, weights, threshold, w_max, cfg.clone()))
-            }
+                max_rounds,
+                track_potential,
+                record_trace,
+            ),
         }
-    }
-
-    /// Resume a stepper from a captured [`ProtocolParts`] (consumes no
-    /// RNG) — the dynamic restore half of [`Protocol::snapshot_parts`].
-    /// The resumed stepper's future word stream is bit-identical to the
-    /// one it was captured from.
-    pub fn resume_parts(&self, parts: ProtocolParts) -> AnyStepper {
-        self.stepper_from_parts(parts.stacks, parts.weights, parts.threshold, parts.w_max)
-    }
-}
-
-macro_rules! impl_protocol_via_engine {
-    ($stepper:ty) => {
-        impl Protocol for $stepper {
-            fn step(&mut self, g: &Graph, rng: &mut dyn RngCore) -> bool {
-                <$stepper>::step(self, g, rng)
-            }
-
-            fn is_done(&self) -> bool {
-                <$stepper>::is_done(self)
-            }
-
-            fn is_balanced(&self) -> bool {
-                <$stepper>::is_balanced(self)
-            }
-
-            fn rounds(&self) -> u64 {
-                <$stepper>::rounds(self)
-            }
-
-            fn migrations(&self) -> u64 {
-                <$stepper>::migrations(self)
-            }
-
-            fn threshold(&self) -> f64 {
-                <$stepper>::threshold(self)
-            }
-
-            fn stacks(&self) -> &[ResourceStack] {
-                <$stepper>::stacks(self)
-            }
-
-            fn weights(&self) -> &[f64] {
-                <$stepper>::weights(self)
-            }
-
-            fn w_max(&self) -> f64 {
-                <$stepper>::w_max(self)
-            }
-
-            fn obs_stats(&self) -> EngineStats {
-                <$stepper>::obs_stats(self)
-            }
-
-            fn into_parts(self: Box<Self>) -> (Vec<ResourceStack>, Vec<f64>) {
-                <$stepper>::into_parts(*self)
-            }
-
-            fn into_outcome(self: Box<Self>) -> ProtocolOutcome {
-                <$stepper>::into_outcome(*self)
-            }
-        }
-    };
-}
-
-impl_protocol_via_engine!(ResourceControlledStepper);
-impl_protocol_via_engine!(UserControlledStepper);
-impl_protocol_via_engine!(MixedStepper);
-
-impl ProtocolSpec for ResourceControlledStepper {
-    type Config = ResourceControlledConfig;
-    type Outcome = ProtocolOutcome;
-
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        Self::new(g, tasks, placement, cfg, rng)
-    }
-
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        _w_max: f64,
-        cfg: Self::Config,
-    ) -> Self {
-        Self::from_parts(stacks, weights, threshold, cfg)
-    }
-
-    fn outcome(self) -> ProtocolOutcome {
-        self.into_outcome()
-    }
-}
-
-impl ProtocolSpec for UserControlledStepper {
-    type Config = UserControlledConfig;
-    type Outcome = ProtocolOutcome;
-
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        Self::new(g.num_nodes(), tasks, placement, cfg, rng)
-    }
-
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: Self::Config,
-    ) -> Self {
-        Self::from_parts(stacks, weights, threshold, w_max, cfg)
-    }
-
-    fn outcome(self) -> ProtocolOutcome {
-        self.into_outcome()
-    }
-}
-
-impl ProtocolSpec for MixedStepper {
-    type Config = MixedConfig;
-    type Outcome = ProtocolOutcome;
-
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        Self::new(g, tasks, placement, cfg, rng)
-    }
-
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: Self::Config,
-    ) -> Self {
-        Self::from_parts(stacks, weights, threshold, w_max, cfg)
-    }
-
-    fn outcome(self) -> ProtocolOutcome {
-        self.into_outcome()
     }
 }
 
@@ -703,7 +673,6 @@ impl ProtocolSpec for MixedStepper {
 mod tests {
     use super::*;
     use crate::resource_protocol::run_resource_controlled;
-    use crate::threshold::ThresholdPolicy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tlb_graphs::generators::{complete, torus2d};
@@ -717,6 +686,7 @@ mod tests {
         assert_eq!(ProtocolKind::Resource(Default::default()).label(), "resource");
         assert_eq!(ProtocolKind::User(Default::default()).label(), "user");
         assert_eq!(ProtocolKind::Mixed(Default::default()).label(), "mixed");
+        assert_eq!(ProtocolKind::Baseline(Default::default()).label(), "greedy2");
     }
 
     #[test]
@@ -737,7 +707,7 @@ mod tests {
     #[test]
     fn any_stepper_user_ignores_topology() {
         // The user protocol on a cycle must behave exactly as on the
-        // complete graph with the same node count: the trait threads a
+        // complete graph with the same node count: the stepper threads a
         // graph through, but Algorithm 6.1 never reads it.
         let tasks = TaskSet::uniform(120);
         let kind = ProtocolKind::User(Default::default());
@@ -759,7 +729,6 @@ mod tests {
         // round, whatever the cohort size, walk kind or graph shape; every
         // walk word derives from it. (Mixed runs AllActive here, where it
         // draws no departure coins.)
-        use crate::mixed_protocol::{Departure, MixedConfig};
         use rand::RngCore;
         let tasks = TaskSet::new((0..120).map(|i| 1.0 + (i % 3) as f64).collect::<Vec<_>>());
         let edgeless = tlb_graphs::GraphBuilder::new(3).build();
@@ -828,8 +797,7 @@ mod tests {
         assert_eq!(lazy_stats.fused_word_draws, lazy_stats.walk_steps);
         assert!(lazy_stats.fused_word_draws > 0);
 
-        // The user protocol draws uniform words instead of walk steps,
-        // and the baseline default keeps zeros.
+        // The user protocol draws uniform words instead of walk steps.
         let kind = ProtocolKind::User(Default::default());
         let mut r = rng(11);
         let mut s = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
@@ -870,9 +838,9 @@ mod tests {
     #[test]
     fn snapshot_parts_resume_is_bit_identical_mid_run() {
         // Pause every variant mid-run, serialize the resume surface
-        // through the JSON tree, resume in a "fresh process", and require
-        // the continuation to match the uninterrupted run exactly. The
-        // user/mixed variants re-draw from the same RNG state; to compare
+        // (stacks, weights, threshold) through the JSON tree, resume in a
+        // "fresh process" with the run's w_max, and require the
+        // continuation to match the uninterrupted run exactly. To compare
         // streams we clone the RNG at the pause point.
         let g = torus2d(5, 5);
         let tasks = TaskSet::new((0..180).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
@@ -880,6 +848,7 @@ mod tests {
             ProtocolKind::Resource(Default::default()),
             ProtocolKind::User(Default::default()),
             ProtocolKind::Mixed(Default::default()),
+            ProtocolKind::Baseline(Default::default()),
         ] {
             let mut r = rng(13);
             let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
@@ -890,14 +859,16 @@ mod tests {
                 stepper.step(&g, &mut r);
             }
             let pre_migrations = stepper.migrations();
-            let parts = stepper.snapshot_parts();
+            let parts =
+                (stepper.stacks().to_vec(), stepper.weights().to_vec(), stepper.threshold());
             let json = serde_json::to_string(&parts).unwrap();
-            let back: ProtocolParts = serde_json::from_str(&json).unwrap();
+            let back: (Vec<ResourceStack>, Vec<f64>, f64) = serde_json::from_str(&json).unwrap();
             assert_eq!(back, parts, "{}: parts must round-trip bit-exactly", kind.label());
 
             // A resumed stepper starts its own pass: counters restart at
             // zero, the word stream continues exactly.
-            let mut resumed = kind.resume_parts(back);
+            let (stacks, weights, threshold) = back;
+            let mut resumed = kind.stepper_from_parts(stacks, weights, threshold, tasks.w_max());
             let mut r2 = r.clone();
             resumed.run(&g, &mut r2);
             stepper.run(&g, &mut r);
@@ -923,13 +894,15 @@ mod tests {
         let kind = ProtocolKind::Mixed(Default::default());
         let mut r = rng(2);
         let stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
-        assert_eq!(stepper.w_max(), 9.5);
-        assert_eq!(stepper.snapshot_parts().w_max, 9.5);
+        assert_eq!(stepper.eject, Eject::Bernoulli { alpha: 1.0, w_max: 9.5 });
+        let (stacks, weights) = stepper.into_parts();
+        let resumed = kind.stepper_from_parts(stacks, weights, 4.0, 9.5);
+        assert_eq!(resumed.eject, Eject::Bernoulli { alpha: 1.0, w_max: 9.5 });
     }
 
     #[test]
     fn engine_accounting_matches_manual_bookkeeping() {
-        // Drive a RoundEngine by hand (no variant logic) and check the
+        // Drive a RoundEngine by hand (no stage logic) and check the
         // counters, series, and trace stay in lock-step.
         let mut stacks = vec![ResourceStack::new(); 2];
         let weights = vec![2.0, 2.0, 2.0];
@@ -937,8 +910,8 @@ mod tests {
             stacks[0].push(id, 2.0);
         }
         let mut eng = RoundEngine::new(stacks, weights, 4.0, 100, true, true);
-        assert!(!eng.is_balanced());
-        assert_eq!(eng.rounds(), 0);
+        assert!(!eng.completed);
+        assert_eq!(eng.rounds, 0);
 
         eng.begin_round();
         // Move the top task across by hand.
@@ -948,9 +921,9 @@ mod tests {
             eng.stacks[1].push(t, eng.weights[t as usize]);
         }
         let done = eng.finish_round(1);
-        assert!(done && eng.is_balanced());
-        assert_eq!(eng.rounds(), 1);
-        assert_eq!(eng.migrations(), 1);
+        assert!(done && eng.completed);
+        assert_eq!(eng.rounds, 1);
+        assert_eq!(eng.migrations, 1);
         let out = eng.into_outcome();
         assert_eq!(out.potential_series.len(), 2);
         assert_eq!(out.potential_series[1], 0.0);
@@ -963,26 +936,5 @@ mod tests {
     #[should_panic(expected = "need at least one resource")]
     fn engine_rejects_empty_stacks() {
         RoundEngine::new(Vec::new(), Vec::new(), 1.0, 10, false, false);
-    }
-
-    #[test]
-    fn protocol_spec_constructors_match_kind_dispatch() {
-        let g = complete(10);
-        let tasks = TaskSet::uniform(60);
-        let cfg = UserControlledConfig { threshold: ThresholdPolicy::Tight, ..Default::default() };
-        let mut r1 = rng(3);
-        let mut a = <UserControlledStepper as ProtocolSpec>::new_stepper(
-            &g,
-            &tasks,
-            Placement::AllOnOne(0),
-            &cfg,
-            &mut r1,
-        );
-        let mut r2 = rng(3);
-        let mut b =
-            ProtocolKind::User(cfg).new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r2);
-        a.run(&g, &mut r1);
-        b.run(&g, &mut r2);
-        assert_eq!(a.outcome(), b.into_outcome());
     }
 }

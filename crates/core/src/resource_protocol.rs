@@ -8,15 +8,14 @@
 //! within `T` is *accepted* and never moves again. The balancing time is
 //! the first round after which every load is at most `T`.
 //!
-//! The protocol is exposed at two levels:
-//!
-//! * [`run_resource_controlled`] — the one-shot entry point: run until
-//!   balanced (or the round cap) and report an outcome, exactly as the
-//!   paper's experiments use it;
-//! * [`ResourceControlledStepper`] — the resumable engine underneath it
-//!   (`new → step → into_outcome`). The online simulation (`tlb-sim`)
-//!   drives it one round at a time between arrival/churn events via
-//!   [`ResourceControlledStepper::from_parts`].
+//! [`run_resource_controlled`] is the one-shot entry point: run until
+//! balanced (or the round cap) and report an outcome, exactly as the
+//! paper's experiments use it. Underneath it is the one
+//! [`Stepper`](crate::protocol::Stepper) with the all-active eject stage
+//! and the walk move stage, built by
+//! [`ProtocolKind::Resource`];
+//! the online simulation (`tlb-sim`) drives such a stepper one round at
+//! a time between arrival/churn events.
 //!
 //! Analysis reproduced by the experiments:
 //! * Theorem 3 — above-average thresholds: `O(τ(G)·log m)` rounds w.h.p.
@@ -24,13 +23,12 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use tlb_graphs::{Graph, NodeId};
-use tlb_walks::{step_cohort, WalkKind};
+use tlb_graphs::Graph;
+use tlb_walks::WalkKind;
 
 use crate::placement::Placement;
-use crate::protocol::{EngineStats, ProtocolOutcome, RoundEngine};
-use crate::stack::ResourceStack;
-use crate::task::{TaskId, TaskSet};
+use crate::protocol::{EngineStats, ProtocolKind, ProtocolOutcome};
+use crate::task::TaskSet;
 use crate::threshold::ThresholdPolicy;
 
 /// Configuration of a resource-controlled run.
@@ -53,9 +51,10 @@ pub struct ResourceControlledConfig {
     /// order their source resources were scanned (deterministic), `true`
     /// randomizes — an ablation that should not change the asymptotics.
     pub shuffle_arrivals: bool,
-    /// Record a full [`RoundTrace`] (potential, overload count, max load,
-    /// migrations per round) in the outcome. Costs one stack scan per
-    /// resource per round, like `track_potential`.
+    /// Record a full [`RoundTrace`](crate::trace::RoundTrace) (potential,
+    /// overload count, max load, migrations per round) in the outcome.
+    /// Costs one stack scan per resource per round, like
+    /// `track_potential`.
     pub record_trace: bool,
 }
 
@@ -76,203 +75,13 @@ impl Default for ResourceControlledConfig {
 /// [`ProtocolOutcome`]).
 pub type ResourceControlledOutcome = ProtocolOutcome;
 
-/// Resumable engine of the resource-controlled protocol: one [`step`] call
-/// is one round of Algorithm 5.1. The shared [`RoundEngine`] owns the
-/// per-resource stacks and the reused round buffers; the graph is passed
-/// into each step, so the caller may swap it between rounds (the online
-/// simulation compacts its churned overlay back to CSR and keeps
-/// stepping).
-///
-/// [`step`]: ResourceControlledStepper::step
-#[derive(Debug, Clone)]
-pub struct ResourceControlledStepper {
-    cfg: ResourceControlledConfig,
-    eng: RoundEngine,
-}
-
-impl ResourceControlledStepper {
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the one-shot entry point always has) and take the initial
-    /// snapshots.
-    ///
-    /// # Panics
-    /// If the placement is invalid for `(m, n)`, the graph is empty, or
-    /// `cfg.walk` is [`WalkKind::Simple`] on a graph with an isolated
-    /// node (the simple walk is undefined there — rejected here, at
-    /// construction, instead of via an `assert!` deep in the round loop).
-    pub fn new<R: Rng + ?Sized>(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &ResourceControlledConfig,
-        rng: &mut R,
-    ) -> Self {
-        let n = g.num_nodes();
-        assert!(n > 0, "need at least one resource");
-        assert!(
-            cfg.walk != WalkKind::Simple || g.min_degree() > 0,
-            "WalkKind::Simple is undefined on isolated nodes; this graph has one"
-        );
-        let weights = tasks.weights().to_vec();
-        let threshold = cfg.threshold.value(tasks.total_weight(), n, tasks.w_max());
-
-        let mut stacks: Vec<ResourceStack> = vec![ResourceStack::new(); n];
-        for (i, &loc) in placement.materialize(tasks.len(), n, rng).iter().enumerate() {
-            stacks[loc as usize].push(i as TaskId, weights[i]);
-        }
-
-        Self::from_parts(stacks, weights, threshold, cfg.clone())
-    }
-
-    /// Resume from an existing stack configuration — the entry point of
-    /// the online simulation, which mutates the stacks between rebalancing
-    /// passes (arrivals, departures, resource churn) and hands them back.
-    /// Consumes no RNG. The round/migration counters start at zero.
-    ///
-    /// `threshold` is taken as given rather than derived from
-    /// `cfg.threshold`: a dynamic caller computes it from the *live*
-    /// population, which a weight vector with freed slots cannot express.
-    ///
-    /// # Panics
-    /// If the stack vector is empty.
-    pub fn from_parts(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        cfg: ResourceControlledConfig,
-    ) -> Self {
-        let eng = RoundEngine::new(
-            stacks,
-            weights,
-            threshold,
-            cfg.max_rounds,
-            cfg.track_potential,
-            cfg.record_trace,
-        );
-        ResourceControlledStepper { cfg, eng }
-    }
-
-    /// Whether every load is at most the threshold.
-    pub fn is_balanced(&self) -> bool {
-        self.eng.is_balanced()
-    }
-
-    /// Whether the run is over: balanced, or the round cap was hit.
-    pub fn is_done(&self) -> bool {
-        self.eng.is_done()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.eng.rounds()
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.eng.migrations()
-    }
-
-    /// The threshold this run balances against.
-    pub fn threshold(&self) -> f64 {
-        self.eng.threshold()
-    }
-
-    /// The per-resource stacks (index = resource id).
-    pub fn stacks(&self) -> &[ResourceStack] {
-        &self.eng.stacks
-    }
-
-    /// Weight per task id (freed slots of dynamic callers included).
-    pub fn weights(&self) -> &[f64] {
-        &self.eng.weights
-    }
-
-    /// Largest stacked task weight (0 when empty). Algorithm 5.1 never
-    /// reads `w_max`, so the checkpoint surface recomputes it over the
-    /// live population instead of storing a dead value.
-    pub fn w_max(&self) -> f64 {
-        crate::protocol::live_w_max(self.stacks(), self.weights())
-    }
-
-    /// Deterministic observability counters accumulated so far.
-    pub fn obs_stats(&self) -> EngineStats {
-        self.eng.obs_stats()
-    }
-
-    /// Execute one round (removal phase, walk steps, arrival phase) unless
-    /// the run is already done. Returns [`is_done`](Self::is_done) after
-    /// the round.
-    pub fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        // `new()` already rejects this, but `from_parts` has no graph and
-        // the caller may swap in a churned graph between rounds — re-check
-        // here (O(1): min_degree is cached) so an isolated node fails fast
-        // instead of panicking per-task deep in the walk kernel.
-        assert!(
-            self.cfg.walk != WalkKind::Simple || g.min_degree() > 0,
-            "WalkKind::Simple is undefined on isolated nodes; this graph has one"
-        );
-        self.eng.begin_round();
-        // One word per round seeds the round's counter-based walk words.
-        let round_seed = rng.next_u64();
-        let threshold = self.eng.threshold();
-        let eng = &mut self.eng;
-        // Removal phase: every overloaded resource ejects I_a ∪ I_c into
-        // the round cohort (`cohort[i]` departs from `positions[i]`), in
-        // node order.
-        for r in 0..eng.stacks.len() as NodeId {
-            if eng.stacks[r as usize].is_overloaded(threshold) {
-                eng.stacks[r as usize].remove_active_into(threshold, &eng.weights, &mut eng.cohort);
-                // One source entry per task ejected by this resource.
-                eng.positions.resize(eng.cohort.len(), r);
-            }
-        }
-        // Walk phase: the whole cohort takes one step.
-        step_cohort(g, self.cfg.walk, &mut eng.positions, round_seed);
-        eng.note_walk_batch(g, self.cfg.walk);
-        eng.pending_tasks.clear();
-        eng.pending_tasks.extend_from_slice(&eng.cohort);
-        eng.pending_dests.clear();
-        eng.pending_dests.extend_from_slice(&eng.positions);
-        if self.cfg.shuffle_arrivals {
-            // One permutation over both parallel arrays — draws exactly
-            // the words the old tuple shuffle drew.
-            rand::seq::shuffle_paired(&mut eng.pending_tasks, &mut eng.pending_dests, rng);
-        }
-        // Arrival phase: stack in (possibly shuffled) order; acceptance is
-        // implicit in the stack heights.
-        let migrated = eng.pending_tasks.len() as u64;
-        for (&t, &dest) in eng.pending_tasks.iter().zip(&eng.pending_dests) {
-            eng.stacks[dest as usize].push(t, eng.weights[t as usize]);
-        }
-        eng.finish_round(migrated)
-    }
-
-    /// Step until balanced or the round cap.
-    pub fn run<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        while !self.step(g, rng) {}
-    }
-
-    /// Finish: consume the engine into the outcome the one-shot entry
-    /// point reports.
-    pub fn into_outcome(self) -> ResourceControlledOutcome {
-        self.eng.into_outcome()
-    }
-
-    /// Hand the stacks and weight vector back to a dynamic caller (the
-    /// inverse of [`from_parts`](Self::from_parts)). Read the counters
-    /// before calling this.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        self.eng.into_parts()
-    }
-}
-
 /// Run the resource-controlled protocol to completion (or the round cap).
 ///
 /// # Panics
-/// If the placement is invalid for `(m, n)` or the graph is empty.
+/// If the placement is invalid for `(m, n)`, the graph is empty, or
+/// `cfg.walk` is [`WalkKind::Simple`] on a graph with an isolated node
+/// (the simple walk is undefined there — rejected at construction
+/// instead of deep in the round loop).
 pub fn run_resource_controlled<R: Rng + ?Sized>(
     g: &Graph,
     tasks: &TaskSet,
@@ -295,7 +104,7 @@ pub fn run_resource_controlled_with_stats<R: Rng + ?Sized>(
     cfg: &ResourceControlledConfig,
     rng: &mut R,
 ) -> (ResourceControlledOutcome, EngineStats) {
-    let mut stepper = ResourceControlledStepper::new(g, tasks, placement, cfg, rng);
+    let mut stepper = ProtocolKind::Resource(cfg.clone()).new_stepper(g, tasks, placement, rng);
     stepper.run(g, rng);
     let stats = stepper.obs_stats();
     (stepper.into_outcome(), stats)
@@ -465,7 +274,7 @@ mod tests {
 
         let mut r = rng(77);
         let mut stepper =
-            ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+            ProtocolKind::Resource(cfg).new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         let mut manual_rounds = 0;
         while !stepper.step(&g, &mut r) {
             manual_rounds += 1;
@@ -480,7 +289,8 @@ mod tests {
         let tasks = TaskSet::uniform(4);
         let cfg = ResourceControlledConfig::default();
         let mut r = rng(1);
-        let mut s = ResourceControlledStepper::new(&g, &tasks, Placement::RoundRobin, &cfg, &mut r);
+        let mut s =
+            ProtocolKind::Resource(cfg).new_stepper(&g, &tasks, Placement::RoundRobin, &mut r);
         assert!(s.is_done());
         assert!(s.step(&g, &mut r));
         assert!(s.step(&g, &mut r));
@@ -498,7 +308,7 @@ mod tests {
         let cfg = ResourceControlledConfig { max_rounds: 3, ..Default::default() };
         let mut r = rng(5);
         let mut first =
-            ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+            ProtocolKind::Resource(cfg).new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         first.run(&g, &mut r);
         assert!(!first.is_balanced());
         let threshold = first.threshold();
@@ -506,7 +316,8 @@ mod tests {
         let (stacks, weights) = first.into_parts();
 
         let cfg2 = ResourceControlledConfig::default();
-        let mut second = ResourceControlledStepper::from_parts(stacks, weights, threshold, cfg2);
+        let mut second =
+            ProtocolKind::Resource(cfg2).stepper_from_parts(stacks, weights, threshold, 1.0);
         second.run(&g, &mut r);
         assert!(second.is_balanced());
         assert!(second.migrations() > 0 || first_migrations > 0);
@@ -559,7 +370,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "undefined on isolated nodes")]
     fn simple_walk_via_from_parts_fails_at_first_step() {
-        // from_parts takes no graph, so the construction-time check can't
+        // stepper_from_parts takes no graph, so the construction-time check can't
         // fire; the per-step check must catch it instead (same protection
         // for callers that swap in a churned graph mid-run).
         let mut b = tlb_graphs::GraphBuilder::new(3);
@@ -570,7 +381,7 @@ mod tests {
             stacks[0].push(i, 1.0);
         }
         let cfg = ResourceControlledConfig { walk: WalkKind::Simple, ..Default::default() };
-        let mut s = ResourceControlledStepper::from_parts(stacks, vec![1.0; 9], 4.0, cfg);
+        let mut s = ProtocolKind::Resource(cfg).stepper_from_parts(stacks, vec![1.0; 9], 4.0, 1.0);
         s.step(&g, &mut rng(1));
     }
 

@@ -12,8 +12,10 @@
 //! `b_r` — a fully decentralized rule.
 //!
 //! Like the resource-controlled module, the protocol is exposed as the
-//! one-shot [`run_user_controlled`] plus the resumable
-//! [`UserControlledStepper`] engine it wraps (`new → step → into_outcome`).
+//! one-shot [`run_user_controlled`] over the one
+//! [`Stepper`](crate::protocol::Stepper), here with the Bernoulli eject
+//! stage and the uniform move stage
+//! ([`ProtocolKind::User`]).
 //!
 //! Analysis reproduced by the experiments:
 //! * Theorem 11 — above-average thresholds with `α = ε/(120(1+ε))`:
@@ -25,15 +27,12 @@
 //! the conservative `α` of the analysis is unnecessary in practice; the
 //! harness reproduces exactly that setting.
 
-use rand::seq::SliceRandom;
-use rand::{lemire_u64, Rng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-use tlb_graphs::Graph;
 
 use crate::placement::Placement;
-use crate::protocol::{EngineStats, ProtocolOutcome, RoundEngine};
-use crate::stack::ResourceStack;
-use crate::task::{TaskId, TaskSet};
+use crate::protocol::{EngineStats, ProtocolKind, ProtocolOutcome};
+use crate::task::TaskSet;
 use crate::threshold::ThresholdPolicy;
 
 /// Configuration of a user-controlled run.
@@ -52,8 +51,9 @@ pub struct UserControlledConfig {
     /// Shuffle arrival order each round (the paper allows arbitrary
     /// order; this ablates it).
     pub shuffle_arrivals: bool,
-    /// Record a full [`RoundTrace`] in the outcome (one stack scan per
-    /// resource per round, like `track_potential`).
+    /// Record a full [`RoundTrace`](crate::trace::RoundTrace) in the
+    /// outcome (one stack scan per resource per round, like
+    /// `track_potential`).
     pub record_trace: bool,
 }
 
@@ -74,197 +74,6 @@ impl Default for UserControlledConfig {
 /// [`ProtocolOutcome`]).
 pub type UserControlledOutcome = ProtocolOutcome;
 
-/// Resumable engine of the user-controlled protocol: one [`step`] call is
-/// one round of Algorithm 6.1 on the implicit complete graph over `n`
-/// resources. `step` takes a `&Graph` like its sibling steppers so all
-/// three share one signature, but ignores it — Algorithm 6.1 jumps
-/// uniformly over all resources regardless of topology.
-///
-/// [`step`]: UserControlledStepper::step
-#[derive(Debug, Clone)]
-pub struct UserControlledStepper {
-    cfg: UserControlledConfig,
-    w_max: f64,
-    eng: RoundEngine,
-}
-
-impl UserControlledStepper {
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the one-shot entry point always has) and take the initial
-    /// snapshots.
-    ///
-    /// # Panics
-    /// If `n == 0`, `alpha <= 0`, or the placement is invalid.
-    pub fn new<R: Rng + ?Sized>(
-        n: usize,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &UserControlledConfig,
-        rng: &mut R,
-    ) -> Self {
-        assert!(n > 0, "need at least one resource");
-        let weights = tasks.weights().to_vec();
-        let w_max = tasks.w_max();
-        let threshold = cfg.threshold.value(tasks.total_weight(), n, w_max);
-
-        let mut stacks: Vec<ResourceStack> = vec![ResourceStack::new(); n];
-        for (i, &loc) in placement.materialize(tasks.len(), n, rng).iter().enumerate() {
-            stacks[loc as usize].push(i as TaskId, weights[i]);
-        }
-
-        Self::from_parts(stacks, weights, threshold, w_max, cfg.clone())
-    }
-
-    /// Resume from an existing stack configuration (the online-simulation
-    /// entry point; consumes no RNG). `threshold` and `w_max` are taken as
-    /// given so a dynamic caller can compute them over its live population
-    /// only.
-    ///
-    /// # Panics
-    /// If the stack vector is empty or `alpha <= 0`.
-    pub fn from_parts(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: UserControlledConfig,
-    ) -> Self {
-        assert!(cfg.alpha > 0.0, "alpha must be positive, got {}", cfg.alpha);
-        let eng = RoundEngine::new(
-            stacks,
-            weights,
-            threshold,
-            cfg.max_rounds,
-            cfg.track_potential,
-            cfg.record_trace,
-        );
-        UserControlledStepper { cfg, w_max, eng }
-    }
-
-    /// Whether every load is at most the threshold.
-    pub fn is_balanced(&self) -> bool {
-        self.eng.is_balanced()
-    }
-
-    /// Whether the run is over: balanced, or the round cap was hit.
-    pub fn is_done(&self) -> bool {
-        self.eng.is_done()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.eng.rounds()
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.eng.migrations()
-    }
-
-    /// The threshold this run balances against.
-    pub fn threshold(&self) -> f64 {
-        self.eng.threshold()
-    }
-
-    /// The per-resource stacks (index = resource id).
-    pub fn stacks(&self) -> &[ResourceStack] {
-        &self.eng.stacks
-    }
-
-    /// Weight per task id (freed slots of dynamic callers included).
-    pub fn weights(&self) -> &[f64] {
-        &self.eng.weights
-    }
-
-    /// The `w_max` this run's departure probabilities divide by — part of
-    /// the resume surface, so a checkpointed stepper restarts with the
-    /// identical migration law.
-    pub fn w_max(&self) -> f64 {
-        self.w_max
-    }
-
-    /// Deterministic observability counters accumulated so far.
-    pub fn obs_stats(&self) -> EngineStats {
-        self.eng.obs_stats()
-    }
-
-    /// One round of Algorithm 6.1 — the graph-free body `step` wraps.
-    fn round<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        self.eng.begin_round();
-        let threshold = self.eng.threshold();
-        let (alpha, w_max) = (self.cfg.alpha, self.w_max);
-        let eng = &mut self.eng;
-        let n = eng.stacks.len() as u64;
-        // Departure phase: every task on an overloaded resource flips an
-        // independent coin with the resource's migration probability.
-        for stack in eng.stacks.iter_mut() {
-            if !stack.is_overloaded(threshold) {
-                continue;
-            }
-            let psi = stack.psi(threshold, &eng.weights, w_max);
-            debug_assert!(psi >= 1, "overloaded resource must have psi >= 1");
-            let p = (alpha * psi as f64 / stack.num_tasks() as f64).min(1.0);
-            // Appends into the round-reused buffer — no per-resource
-            // allocation in the departure phase.
-            stack.drain_bernoulli_into(p, &eng.weights, rng, &mut eng.cohort);
-        }
-        if self.cfg.shuffle_arrivals {
-            eng.cohort.shuffle(rng);
-        }
-        // Arrival phase: uniformly random destination for each migrant.
-        // Destinations are bulk-generated (one word per migrant, mapped
-        // with the same Lemire multiply `gen_range` uses), so the draw
-        // sequence is bit-identical to the old per-migrant `gen_range`
-        // loop while the RNG virtual-call round-trips collapse into one
-        // register-resident fill.
-        let migrated = eng.cohort.len() as u64;
-        // Resize only (no clear): the fill overwrites every live slot, so
-        // re-zeroing the buffer each round would be a wasted memset.
-        eng.dest_words.resize(eng.cohort.len(), 0);
-        rng.fill_u64(&mut eng.dest_words);
-        eng.note_uniform_batch();
-        for (&t, &word) in eng.cohort.iter().zip(eng.dest_words.iter()) {
-            let dest = lemire_u64(word, n) as usize;
-            eng.stacks[dest].push(t, eng.weights[t as usize]);
-        }
-        eng.finish_round(migrated)
-    }
-
-    /// Execute one round (departure coin flips, uniform re-placement)
-    /// unless the run is already done. Returns
-    /// [`is_done`](Self::is_done) after the round.
-    ///
-    /// The graph parameter exists so all three steppers share one `step`
-    /// signature (and one [`Protocol`] trait); Algorithm 6.1 ignores it.
-    ///
-    /// [`Protocol`]: crate::protocol::Protocol
-    pub fn step<R: Rng + ?Sized>(&mut self, _g: &Graph, rng: &mut R) -> bool {
-        self.round(rng)
-    }
-
-    /// Step until balanced or the round cap (the graph is ignored, like
-    /// in [`step`](Self::step)).
-    pub fn run<R: Rng + ?Sized>(&mut self, _g: &Graph, rng: &mut R) {
-        while !self.round(rng) {}
-    }
-
-    /// Finish: consume the engine into the outcome the one-shot entry
-    /// point reports.
-    pub fn into_outcome(self) -> UserControlledOutcome {
-        self.eng.into_outcome()
-    }
-
-    /// Hand the stacks and weight vector back to a dynamic caller (the
-    /// inverse of [`from_parts`](Self::from_parts)). Read the counters
-    /// before calling this.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        self.eng.into_parts()
-    }
-}
-
 /// Run the user-controlled protocol on the complete graph with `n`
 /// resources.
 ///
@@ -272,7 +81,8 @@ impl UserControlledStepper {
 /// it): destinations are sampled uniformly from all `n` resources.
 ///
 /// # Panics
-/// If `n == 0`, `alpha <= 0`, or the placement is invalid.
+/// If `n == 0`, `alpha` is not finite and positive, or the placement is
+/// invalid.
 pub fn run_user_controlled<R: Rng + ?Sized>(
     n: usize,
     tasks: &TaskSet,
@@ -294,8 +104,9 @@ pub fn run_user_controlled_with_stats<R: Rng + ?Sized>(
     cfg: &UserControlledConfig,
     rng: &mut R,
 ) -> (UserControlledOutcome, EngineStats) {
-    let mut stepper = UserControlledStepper::new(n, tasks, placement, cfg, rng);
-    while !stepper.round(rng) {}
+    let mut stepper = ProtocolKind::User(cfg.clone()).place(n, tasks, placement, rng);
+    // Algorithm 6.1 jumps uniformly over all `n` resources: no graph.
+    while !stepper.round(None, rng) {}
     let stats = stepper.obs_stats();
     (stepper.into_outcome(), stats)
 }
@@ -503,12 +314,12 @@ mod tests {
         let cfg = UserControlledConfig { track_potential: true, ..Default::default() };
         let one_shot = run_user_controlled(30, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(91));
 
-        // `step` ignores the graph (it exists only for signature parity
-        // with the sibling steppers), so any graph drives it.
-        let g = tlb_graphs::generators::complete(1);
+        // The uniform move never reads the graph; only its node count
+        // (the resource count) matters, so any 30-node graph drives it.
+        let g = tlb_graphs::generators::cycle(30);
         let mut r = rng(91);
         let mut stepper =
-            UserControlledStepper::new(30, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+            ProtocolKind::User(cfg).new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         while !stepper.step(&g, &mut r) {}
         assert_eq!(stepper.into_outcome(), one_shot);
     }

@@ -23,7 +23,7 @@ use tlb_core::weights::WeightSpec;
 use tlb_graphs::generators::Family;
 
 use crate::figures::table1::build_family;
-use crate::harness::{self, MatrixProtocol, ProtocolPoint};
+use crate::harness::{self, ProtocolPoint};
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -82,7 +82,7 @@ pub fn run(cfg: &Config) -> Table {
             graph: g.clone(),
             weights: spec.clone(),
             placement: Placement::AllOnOne(0),
-            protocol: MatrixProtocol::Core(protocol),
+            protocol,
             seed: cfg.seed ^ salt,
         };
         points.push((

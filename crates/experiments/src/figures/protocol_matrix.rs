@@ -1,21 +1,21 @@
 //! **M1 — protocol matrix**: any protocol × any graph × any arrival
 //! scenario, through one generic harness path.
 //!
-//! The cross-product no pre-trait layer could express: all three paper
-//! protocols (resource-, user-controlled, mixed) *and* the related-work
-//! baselines (`Greedy[d]`, `(1+β)`, sequential/parallel threshold-retry)
+//! The cross-product of every protocol the one stepper runs: all three
+//! paper protocols (resource-, user-controlled, mixed) *and* the
+//! related-work baselines (`Greedy[d]`, `(1+β)`, sequential/parallel threshold-retry)
 //! run through [`harness::run_protocol_sweep`] over every configured
 //! graph family and arrival scenario (initial placement × weight
 //! distribution), as **one** self-scheduled pool batch. Every cell
 //! reports balancing rounds, migration volume, and completion rate
 //! against the same threshold policy — the apples-to-apples comparison
-//! the shared round engine exists for.
+//! the shared stepper exists for.
 //!
 //! The driver persists `protocol_matrix.{csv,json}`; CI smoke-runs it
 //! under `RAYON_NUM_THREADS=1` and `4`, requires byte-identical JSON, and
 //! uploads the snapshot as the `BENCH_matrix` artifact.
 
-use tlb_baselines::{BaselineConfig, BaselineRule};
+use tlb_core::baseline_protocol::{BaselineConfig, BaselineRule};
 use tlb_core::mixed_protocol::MixedConfig;
 use tlb_core::placement::Placement;
 use tlb_core::protocol::ProtocolKind;
@@ -27,7 +27,7 @@ use tlb_graphs::generators::Family;
 use tlb_obs::{ObsReport, Registry};
 
 use crate::figures::table1::build_family;
-use crate::harness::{self, MatrixProtocol, ProtocolPoint};
+use crate::harness::{self, ProtocolPoint};
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -124,33 +124,19 @@ fn roster(
     threshold: ThresholdPolicy,
     max_rounds: u64,
     walk: tlb_walks::WalkKind,
-) -> Vec<MatrixProtocol> {
+) -> Vec<ProtocolKind> {
     let base = |rule| {
-        MatrixProtocol::Baseline(BaselineConfig {
-            threshold,
-            rule,
-            max_rounds,
-            ..Default::default()
-        })
+        ProtocolKind::Baseline(BaselineConfig { threshold, rule, max_rounds, ..Default::default() })
     };
     vec![
-        MatrixProtocol::Core(ProtocolKind::Resource(ResourceControlledConfig {
+        ProtocolKind::Resource(ResourceControlledConfig {
             threshold,
             walk,
             max_rounds,
             ..Default::default()
-        })),
-        MatrixProtocol::Core(ProtocolKind::User(UserControlledConfig {
-            threshold,
-            max_rounds,
-            ..Default::default()
-        })),
-        MatrixProtocol::Core(ProtocolKind::Mixed(MixedConfig {
-            threshold,
-            walk,
-            max_rounds,
-            ..Default::default()
-        })),
+        }),
+        ProtocolKind::User(UserControlledConfig { threshold, max_rounds, ..Default::default() }),
+        ProtocolKind::Mixed(MixedConfig { threshold, walk, max_rounds, ..Default::default() }),
         base(BaselineRule::Greedy { d: 2 }),
         base(BaselineRule::OnePlusBeta { beta: 0.5 }),
         base(BaselineRule::SequentialThreshold { retries: 4 }),

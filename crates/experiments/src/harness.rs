@@ -15,24 +15,21 @@
 //! straggler barrier — while staying bit-identical to the per-point
 //! [`run_trials`] loop.
 //!
-//! The harness is also generic over the protocol abstraction: a
-//! [`ProtocolPoint`] names a `(protocol × graph × workload × placement)`
-//! cell through the unified [`MatrixProtocol`] surface (core
-//! [`ProtocolKind`] variants and `tlb-baselines` adapters alike), and
-//! [`run_protocol_trials`]/[`run_protocol_sweep`] fan its trials out over
-//! the pool, returning full [`ProtocolOutcome`]s. Trait dispatch adds no
-//! RNG draws, so these paths are bit-identical to calling the concrete
-//! `run_*` entry points with the same derived seeds.
+//! The harness also runs any protocol: a [`ProtocolPoint`] names a
+//! `(protocol × graph × workload × placement)` cell through a
+//! [`ProtocolKind`] (the paper protocols and the related-work baselines
+//! alike), and [`run_protocol_trials`]/[`run_protocol_sweep`] fan its
+//! trials out over the pool, returning full [`ProtocolOutcome`]s —
+//! bit-identical to calling the one-shot `run_*` entry points with the
+//! same derived seeds.
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tlb_baselines::BaselineConfig;
 use tlb_core::placement::Placement;
-use tlb_core::protocol::{AnyStepper, ProtocolKind, ProtocolOutcome};
-use tlb_core::task::TaskSet;
+use tlb_core::protocol::{ProtocolKind, ProtocolOutcome};
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::Graph;
 
@@ -159,43 +156,6 @@ where
     out
 }
 
-/// Which protocol a sweep cell runs: a core variant (through the unified
-/// [`ProtocolKind`] dispatch) or a `tlb-baselines` stepper adapter. This
-/// is the experiment-side closure of the protocol abstraction — the enum
-/// a driver can hold for "any protocol at all".
-#[derive(Debug, Clone, PartialEq)]
-pub enum MatrixProtocol {
-    /// One of the three core protocols.
-    Core(ProtocolKind),
-    /// A related-work baseline run as a rebalancing protocol.
-    Baseline(BaselineConfig),
-}
-
-impl MatrixProtocol {
-    /// Short stable name (report/CSV key).
-    pub fn label(&self) -> String {
-        match self {
-            MatrixProtocol::Core(kind) => kind.label().to_string(),
-            MatrixProtocol::Baseline(cfg) => cfg.rule.label(),
-        }
-    }
-
-    /// Construct the stepper, consuming RNG exactly as the variant's
-    /// one-shot entry point would.
-    pub fn new_stepper(
-        &self,
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        rng: &mut dyn RngCore,
-    ) -> AnyStepper {
-        match self {
-            MatrixProtocol::Core(kind) => kind.new_stepper(g, tasks, placement, rng),
-            MatrixProtocol::Baseline(cfg) => cfg.new_stepper(g, tasks, placement, rng),
-        }
-    }
-}
-
 /// One `(protocol × graph × workload × placement)` cell of a protocol
 /// sweep. Each trial regenerates the workload from its derived seed, so
 /// the cell is a pure function of `seed` like every other harness entry
@@ -210,13 +170,13 @@ pub struct ProtocolPoint {
     /// Initial placement.
     pub placement: Placement,
     /// Which protocol runs the cell.
-    pub protocol: MatrixProtocol,
+    pub protocol: ProtocolKind,
     /// Base seed of the cell (trial `t` runs with `trial_seed(seed, t)`).
     pub seed: u64,
 }
 
 /// One trial of a protocol point: generate the workload, run the
-/// protocol to completion through the trait surface, report the outcome.
+/// protocol to completion, report the outcome.
 fn run_protocol_once(p: &ProtocolPoint, seed: u64) -> ProtocolOutcome {
     let mut rng = SmallRng::seed_from_u64(seed);
     let tasks = p.weights.generate(&mut rng);
@@ -506,7 +466,7 @@ mod tests {
             graph: g.clone(),
             weights: spec.clone(),
             placement: Placement::AllOnOne(0),
-            protocol: MatrixProtocol::Core(ProtocolKind::Resource(pcfg.clone())),
+            protocol: ProtocolKind::Resource(pcfg.clone()),
             seed: 77,
         };
         let outcomes = run_protocol_trials(&point, 6);
@@ -521,8 +481,9 @@ mod tests {
 
     #[test]
     fn protocol_sweep_matches_per_point_trials() {
+        use tlb_core::baseline_protocol::BaselineConfig;
         let g = tlb_graphs::generators::complete(10);
-        let mk = |protocol: MatrixProtocol, seed: u64| ProtocolPoint {
+        let mk = |protocol: ProtocolKind, seed: u64| ProtocolPoint {
             graph: g.clone(),
             weights: WeightSpec::Uniform { m: 80 },
             placement: Placement::AllOnOne(0),
@@ -530,9 +491,9 @@ mod tests {
             seed,
         };
         let points = vec![
-            mk(MatrixProtocol::Core(ProtocolKind::User(Default::default())), 1),
-            mk(MatrixProtocol::Baseline(BaselineConfig::default()), 2),
-            mk(MatrixProtocol::Core(ProtocolKind::Mixed(Default::default())), 3),
+            mk(ProtocolKind::User(Default::default()), 1),
+            mk(ProtocolKind::Baseline(BaselineConfig::default()), 2),
+            mk(ProtocolKind::Mixed(Default::default()), 3),
         ];
         let swept = run_protocol_sweep(&points, 5);
         assert_eq!(swept.len(), 3);
@@ -544,11 +505,10 @@ mod tests {
 
     #[test]
     fn matrix_protocol_labels() {
-        assert_eq!(
-            MatrixProtocol::Core(ProtocolKind::Resource(Default::default())).label(),
-            "resource"
-        );
-        assert_eq!(MatrixProtocol::Baseline(BaselineConfig::default()).label(), "greedy2");
+        use tlb_core::baseline_protocol::BaselineConfig;
+        // The matrix's CSV keys: core protocols by name, baselines by rule.
+        assert_eq!(ProtocolKind::Resource(Default::default()).label(), "resource");
+        assert_eq!(ProtocolKind::Baseline(BaselineConfig::default()).label(), "greedy2");
     }
 
     #[test]

@@ -55,7 +55,8 @@ use serde::{Deserialize, Serialize};
 use tlb_baselines::{BaselineConfig, BaselineRule};
 use tlb_core::mixed_protocol::{Departure, MixedConfig};
 use tlb_core::potential::{is_balanced, max_load, num_overloaded, total_potential};
-use tlb_core::protocol::{AnyStepper, ProtocolKind};
+use tlb_core::protocol::ProtocolKind;
+use tlb_core::resource_protocol::ResourceControlledConfig;
 use tlb_core::stack::ResourceStack;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::DynamicGraph;
@@ -103,9 +104,9 @@ pub enum RebalancePolicy {
         /// Walk moving departing tasks.
         walk: WalkKind,
     },
-    /// A related-work baseline (`tlb-baselines` stepper adapter):
+    /// A related-work baseline run as a rebalancing protocol:
     /// Algorithm-5.1 ejection with the baseline's global re-placement
-    /// rule. Safe under churn — the adapters never place tasks on
+    /// rule. Safe under churn — the rules never place tasks on
     /// isolated (deactivated) resources. Sequential.
     Baseline {
         /// Placement rule moving ejected tasks.
@@ -114,39 +115,37 @@ pub enum RebalancePolicy {
 }
 
 impl RebalancePolicy {
-    /// Build the sequential protocol stepper for one epoch's rebalancing
-    /// pass (resumes from the live stacks; consumes no RNG). Only the
-    /// mixed and baseline policies use this path — the resource policy
-    /// goes through [`ShardedEngine`] instead.
-    fn make_stepper(
-        &self,
-        threshold_policy: ThresholdPolicy,
-        rounds_per_epoch: u64,
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-    ) -> AnyStepper {
+    /// The protocol the policy rebalances with, under the run's global
+    /// threshold policy and round budget per epoch. The mixed and
+    /// baseline policies resume a sequential [`Stepper`] of it each
+    /// epoch; the resource policy runs through [`ShardedEngine`] instead
+    /// and only checks its parameters here.
+    ///
+    /// [`Stepper`]: tlb_core::protocol::Stepper
+    fn protocol(&self, threshold: ThresholdPolicy, rounds_per_epoch: u64) -> ProtocolKind {
         match *self {
-            RebalancePolicy::Resource { .. } => {
-                unreachable!("the resource policy runs through the sharded engine")
+            RebalancePolicy::Resource { walk } => {
+                ProtocolKind::Resource(ResourceControlledConfig {
+                    threshold,
+                    walk,
+                    max_rounds: rounds_per_epoch,
+                    ..Default::default()
+                })
             }
             RebalancePolicy::Mixed { departure, alpha, walk } => ProtocolKind::Mixed(MixedConfig {
-                threshold: threshold_policy,
+                threshold,
                 departure,
                 alpha,
                 walk,
                 max_rounds: rounds_per_epoch,
                 ..Default::default()
-            })
-            .stepper_from_parts(stacks, weights, threshold, w_max),
-            RebalancePolicy::Baseline { rule } => BaselineConfig {
-                threshold: threshold_policy,
+            }),
+            RebalancePolicy::Baseline { rule } => ProtocolKind::Baseline(BaselineConfig {
+                threshold,
                 rule,
                 max_rounds: rounds_per_epoch,
                 ..Default::default()
-            }
-            .stepper_from_parts(stacks, weights, threshold),
+            }),
         }
     }
 }
@@ -333,6 +332,7 @@ impl OnlineSim {
         if cfg.shards == 0 {
             return Err("shards must be >= 1".to_string());
         }
+        cfg.rebalance.protocol(cfg.threshold, cfg.rounds_per_epoch).validate()?;
         if cfg.shards > 1 && !matches!(cfg.rebalance, RebalancePolicy::Resource { .. }) {
             return Err(format!(
                 "only the resource-controlled policy rebalances sharded (shards = {})",
@@ -981,18 +981,14 @@ impl OnlineSim {
                     state.stacks = engine.into_parts();
                 }
                 _ => {
-                    // Sequential stepper path (mixed/baseline): same
-                    // draws as driving the concrete stepper directly.
+                    // Sequential stepper path (mixed/baseline).
                     let stacks = std::mem::take(&mut state.stacks);
                     let weights = std::mem::take(&mut state.weights);
-                    let mut stepper = self.cfg.rebalance.make_stepper(
-                        self.cfg.threshold,
-                        self.cfg.rounds_per_epoch,
-                        stacks,
-                        weights,
-                        threshold,
-                        w_max,
-                    );
+                    let mut stepper = self
+                        .cfg
+                        .rebalance
+                        .protocol(self.cfg.threshold, self.cfg.rounds_per_epoch)
+                        .stepper_from_parts(stacks, weights, threshold, w_max);
                     stepper.run(&state.walk_graph, &mut rng);
                     rebalance_rounds = stepper.rounds();
                     migrations = stepper.migrations();

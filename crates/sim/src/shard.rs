@@ -28,10 +28,10 @@
 //! round `r` is the counter-based [`walk_word`]`(epoch_seed(stream_seed,
 //! r), v, s)`, mapped to a destination by [`walk_dest`] — a pure
 //! function of `(stream_seed, r, v, s)`, independent of shard count,
-//! thread count, and scheduling order. The sequential steppers of
-//! `tlb-core` step their cohorts through the same kernel, so the engine
-//! at any shard count reproduces `ResourceControlledStepper` fed the same
-//! round seeds (pinned round by round by this module's cross-engine
+//! thread count, and scheduling order. The sequential `tlb-core`
+//! `Stepper` steps its cohorts through the same kernel, so the engine at
+//! any shard count reproduces the resource-controlled stepper fed the
+//! same round seeds (pinned round by round by this module's cross-engine
 //! test); the law's chi-square pin against the exact transition matrix
 //! lives in `tlb_walks::batch`, and this module's tests pin the words
 //! the engine derives from its `epoch_seed` round seeds the same way.
@@ -294,7 +294,8 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use rand::RngCore;
-    use tlb_core::resource_protocol::{ResourceControlledConfig, ResourceControlledStepper};
+    use tlb_core::protocol::ProtocolKind;
+    use tlb_core::resource_protocol::ResourceControlledConfig;
     use tlb_graphs::generators::{complete, lollipop, star, torus2d};
     use tlb_walks::TransitionMatrix;
 
@@ -346,7 +347,7 @@ mod tests {
         }
     }
 
-    /// One law for both engines: `ResourceControlledStepper`, drawing its
+    /// One law for both engines: the resource-controlled `Stepper`, drawing its
     /// round seeds from `RoundSeeds`, and the sharded engine produce the
     /// same stacks, migrations and balance flag after every round, at
     /// every shard count, on a regular and an irregular graph.
@@ -362,11 +363,11 @@ mod tests {
             let threshold = 1.3 * weights.iter().sum::<f64>() / n as f64 + 3.0;
             for walk in [WalkKind::MaxDegree, WalkKind::Lazy] {
                 let cfg = ResourceControlledConfig { walk, ..Default::default() };
-                let mut stepper = ResourceControlledStepper::from_parts(
+                let mut stepper = ProtocolKind::Resource(cfg).stepper_from_parts(
                     stacks.clone(),
                     weights.clone(),
                     threshold,
-                    cfg,
+                    0.0,
                 );
                 let mut seeds = RoundSeeds(0x5EED, 0);
                 let mut rounds = 0u64;

@@ -7,8 +7,13 @@
 //! seed 42, two tenants) and is checked in verbatim — regenerating it
 //! with a current build would defeat the point of the test.
 
+use tlb_core::mixed_protocol::Departure;
 use tlb_graphs::generators::complete;
-use tlb_sim::{AdmissionPolicy, OnlineSim, SimSnapshot, SNAPSHOT_VERSION};
+use tlb_sim::{
+    AdmissionPolicy, BaselineRule, OnlineSim, RebalancePolicy, SimConfig, SimSnapshot,
+    SNAPSHOT_VERSION,
+};
+use tlb_walks::WalkKind;
 
 const V1_FIXTURE: &str = include_str!("fixtures/snapshot_v1.json");
 
@@ -196,4 +201,58 @@ fn restore_rejects_an_id_stacked_twice() {
         snap.live += 2;
     });
     assert!(err.contains("stacked twice"), "unhelpful error: {err}");
+}
+
+/// Rebalancing policies whose protocol parameters the sequential pass
+/// cannot run (each used to be accepted and then panic in the next
+/// epoch), with a word the error must name.
+fn bad_protocol_policies() -> Vec<(RebalancePolicy, &'static str)> {
+    let mixed = |alpha| RebalancePolicy::Mixed {
+        departure: Departure::Bernoulli,
+        alpha,
+        walk: WalkKind::MaxDegree,
+    };
+    let baseline = |rule| RebalancePolicy::Baseline { rule };
+    vec![
+        (mixed(0.0), "alpha"),
+        (mixed(-1.0), "alpha"),
+        (mixed(f64::NAN), "alpha"),
+        (mixed(f64::INFINITY), "alpha"),
+        (baseline(BaselineRule::Greedy { d: 0 }), "choice"),
+        (baseline(BaselineRule::OnePlusBeta { beta: 0.0 }), "beta"),
+        (baseline(BaselineRule::OnePlusBeta { beta: 1.5 }), "beta"),
+        (baseline(BaselineRule::SequentialThreshold { retries: 0 }), "retry"),
+    ]
+}
+
+#[test]
+fn restore_rejects_bad_protocol_parameters() {
+    for (policy, needle) in bad_protocol_policies() {
+        let err = restore_err(|snap| snap.config.rebalance = policy);
+        assert!(err.contains(needle), "{policy:?}: unhelpful error: {err}");
+    }
+}
+
+#[test]
+fn reconfigure_rejects_bad_protocol_parameters() {
+    let snap = SimSnapshot::from_json(V1_FIXTURE).unwrap();
+    let cfg = snap.config.clone();
+    let mut sim = OnlineSim::restore(snap, complete(16)).unwrap();
+    for (policy, needle) in bad_protocol_policies() {
+        let err = sim
+            .reconfigure(SimConfig { rebalance: policy, ..cfg.clone() })
+            .expect_err("a bad protocol parameter must be rejected");
+        assert!(err.to_string().contains(needle), "{policy:?}: unhelpful error: {err}");
+    }
+    // The rejected swaps left the engine running its old config.
+    sim.try_run_epoch().expect("epoch under the original config");
+    // All-active departures never read alpha, so any alpha passes there.
+    let all_active = RebalancePolicy::Mixed {
+        departure: Departure::AllActive,
+        alpha: 0.0,
+        walk: WalkKind::Lazy,
+    };
+    sim.reconfigure(SimConfig { rebalance: all_active, ..cfg })
+        .expect("alpha is unused");
+    sim.try_run_epoch().expect("epoch under all-active departures");
 }

@@ -1,8 +1,9 @@
 //! Steady-state allocation discipline of the protocol round loops.
 //!
-//! The steppers promise that a round allocates nothing once the reused
-//! buffers (ejection cohort, walk positions, destination words, pending
-//! arrivals, per-resource stacks) have grown to the run's working size.
+//! The stepper promises that a round allocates nothing once the reused
+//! buffers (ejection cohort, positions, destination words, candidate
+//! bins, the parallel wave's pending arrays, per-resource stacks) have
+//! grown to the run's working size — for every eject and move stage.
 //! This test pins that promise with a counting global allocator: after a
 //! warm-up prefix of rounds, every remaining round of the run must
 //! perform **zero** heap allocations (and zero reallocations).
@@ -16,11 +17,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tlb_core::mixed_protocol::{Departure, MixedConfig, MixedStepper};
+use tlb_core::baseline_protocol::{BaselineConfig, BaselineRule};
+use tlb_core::mixed_protocol::{Departure, MixedConfig};
 use tlb_core::prelude::*;
-use tlb_core::resource_protocol::ResourceControlledStepper;
 use tlb_core::stack::ResourceStack;
-use tlb_core::user_protocol::UserControlledStepper;
 use tlb_graphs::generators::torus2d;
 
 struct CountingAlloc;
@@ -97,11 +97,11 @@ fn round_loops_allocate_nothing_in_steady_state() {
     let cfg = ResourceControlledConfig::default();
     let threshold = cfg.threshold.value(tasks.total_weight(), n, tasks.w_max());
     let mut rng = SmallRng::seed_from_u64(42);
-    let mut stepper = ResourceControlledStepper::from_parts(
+    let mut stepper = ProtocolKind::Resource(cfg).stepper_from_parts(
         hotspot_with_room(n, &tasks),
         tasks.weights().to_vec(),
         threshold,
-        cfg,
+        tasks.w_max(),
     );
     stepper.step(&g, &mut rng);
     assert!(!stepper.is_done(), "round 1 must not finish the run (weaken the workload?)");
@@ -118,15 +118,16 @@ fn round_loops_allocate_nothing_in_steady_state() {
     // warm-up leaves a 10-round allocation-free tail.
     let mut rng = SmallRng::seed_from_u64(7);
     let ucfg = UserControlledConfig { alpha: 0.25, ..Default::default() };
+    let ring = tlb_graphs::generators::cycle(60);
     let mut stepper =
-        UserControlledStepper::new(60, &tasks, Placement::AllOnOne(0), &ucfg, &mut rng);
-    // The user stepper ignores its graph parameter (signature parity with
-    // the siblings); reuse the torus so the loop allocates nothing new.
+        ProtocolKind::User(ucfg).new_stepper(&ring, &tasks, Placement::AllOnOne(0), &mut rng);
+    // The uniform move never reads the graph; only its 60 nodes (the
+    // resource count) matter.
     for _ in 0..36 {
-        stepper.step(&g, &mut rng);
+        stepper.step(&ring, &mut rng);
     }
     assert!(!stepper.is_done(), "warm-up must not finish the run (weaken the workload?)");
-    let allocs = count_allocs(|| while !stepper.step(&g, &mut rng) {});
+    let allocs = count_allocs(|| while !stepper.step(&ring, &mut rng) {});
     assert!(stepper.is_balanced());
     assert_eq!(allocs, 0, "user-controlled steady-state rounds allocated");
 
@@ -138,12 +139,11 @@ fn round_loops_allocate_nothing_in_steady_state() {
     // buffer-discipline regression.
     let mut rng = SmallRng::seed_from_u64(11);
     let mcfg = MixedConfig { departure: Departure::AllActive, ..Default::default() };
-    let mut stepper = MixedStepper::from_parts(
+    let mut stepper = ProtocolKind::Mixed(mcfg).stepper_from_parts(
         hotspot_with_room(n, &tasks),
         tasks.weights().to_vec(),
         threshold,
         tasks.w_max(),
-        mcfg,
     );
     stepper.step(&g, &mut rng);
     assert!(!stepper.is_done(), "round 1 must not finish the run (weaken the workload?)");
@@ -151,4 +151,32 @@ fn round_loops_allocate_nothing_in_steady_state() {
     assert!(stepper.is_balanced());
     assert!(stepper.rounds() > 20, "need a meaningful steady-state tail");
     assert_eq!(allocs, 0, "mixed steady-state rounds allocated");
+
+    // Baselines: every placement rule as the move stage, from the same
+    // roomy hotspot. Round 1 sizes the cohort, the candidate-bin list and
+    // the parallel wave's pending arrays (it ejects the largest cohort of
+    // the run); every later round must be allocation-free. The tight
+    // threshold `W/n + w_max` leaves the rules a tail of rounds.
+    let tight = ThresholdPolicy::Tight.value(tasks.total_weight(), n, tasks.w_max());
+    for (rule, seed) in [
+        (BaselineRule::Greedy { d: 1 }, 21),
+        (BaselineRule::Greedy { d: 2 }, 22),
+        (BaselineRule::OnePlusBeta { beta: 0.5 }, 23),
+        (BaselineRule::SequentialThreshold { retries: 1 }, 24),
+        (BaselineRule::ParallelThreshold, 25),
+    ] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let bcfg = BaselineConfig { rule, threshold: ThresholdPolicy::Tight, ..Default::default() };
+        let mut stepper = ProtocolKind::Baseline(bcfg).stepper_from_parts(
+            hotspot_with_room(n, &tasks),
+            tasks.weights().to_vec(),
+            tight,
+            tasks.w_max(),
+        );
+        stepper.step(&g, &mut rng);
+        assert!(!stepper.is_done(), "{}: round 1 must not finish the run", rule.label());
+        let allocs = count_allocs(|| while !stepper.step(&g, &mut rng) {});
+        assert!(stepper.is_balanced(), "{} must balance", rule.label());
+        assert_eq!(allocs, 0, "{} steady-state rounds allocated", rule.label());
+    }
 }

@@ -249,7 +249,8 @@ fn baseline_and_shuffled_user_one_shot_outcomes_are_pinned() {
     ] {
         let cfg = BaselineConfig { rule, threshold: ThresholdPolicy::Tight, ..Default::default() };
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut stepper = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(3), &mut rng);
+        let mut stepper =
+            ProtocolKind::Baseline(cfg).new_stepper(&g, &tasks, Placement::AllOnOne(3), &mut rng);
         stepper.run(&g, &mut rng);
         let out = stepper.into_outcome();
         assert!(out.balanced(), "{}", rule.label());
@@ -350,14 +351,13 @@ fn legacy_one_shot_outcomes_are_bit_identical_to_pre_stepper_runs() {
 /// balance against the same threshold with conserved total weight.
 #[test]
 fn incremental_stepping_reaches_the_one_shot_fixed_point() {
-    use tlb_core::resource_protocol::ResourceControlledStepper;
     let g = torus2d(6, 6);
     let tasks = TaskSet::new((0..300).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
     let cfg = ResourceControlledConfig::default();
 
     let mut rng = SmallRng::seed_from_u64(8);
     let mut stepper =
-        ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng);
+        ProtocolKind::Resource(cfg).new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng);
     // Drive in bursts of 4 rounds with pauses in between, as the online
     // engine does between event batches.
     while !stepper.is_done() {

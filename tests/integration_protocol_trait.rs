@@ -1,14 +1,13 @@
-//! Golden equivalence suite for the protocol abstraction: dispatching a
-//! run through [`tlb_core::protocol::AnyStepper`] must be **bit-identical**
-//! to calling the concrete stepper's one-shot entry point — same RNG
-//! draws, same order, same outcome — for every protocol variant and walk
-//! kind, plus a proptest that `into_parts → from_parts` round-trips
-//! through the trait surface.
+//! Golden equivalence suite for the protocol engine: a run built through
+//! [`tlb_core::protocol::ProtocolKind::new_stepper`] and stepped by hand
+//! must be **bit-identical** to the variant's one-shot entry point — same
+//! RNG draws, same order, same outcome — for every protocol variant and
+//! walk kind, plus a proptest that `into_parts → stepper_from_parts`
+//! round-trips.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tlb_baselines::{BaselineConfig, BaselineRule, BaselineStepper};
 use tlb_core::mixed_protocol::{run_mixed, MixedConfig};
 use tlb_core::prelude::*;
 use tlb_graphs::generators::{complete, torus2d};
@@ -23,9 +22,9 @@ fn tasks() -> TaskSet {
     TaskSet::new((0..300).map(|i| 1.0 + (i % 5) as f64).collect::<Vec<_>>())
 }
 
-/// Drive a kind through the trait object with the same seed as a direct
-/// run and return its outcome.
-fn trait_run(kind: &ProtocolKind, g: &Graph, tasks: &TaskSet, seed: u64) -> ProtocolOutcome {
+/// Drive a kind's stepper with the same seed as a direct run and return
+/// its outcome.
+fn stepped_run(kind: &ProtocolKind, g: &Graph, tasks: &TaskSet, seed: u64) -> ProtocolOutcome {
     let mut r = rng(seed);
     let mut stepper = kind.new_stepper(g, tasks, Placement::AllOnOne(0), &mut r);
     stepper.run(g, &mut r);
@@ -40,8 +39,8 @@ fn resource_trait_dispatch_is_bit_identical_for_both_walks() {
         let cfg = ResourceControlledConfig { walk, track_potential: true, ..Default::default() };
         let direct =
             run_resource_controlled(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(seed));
-        let via_trait = trait_run(&ProtocolKind::Resource(cfg), &g, &tasks, seed);
-        assert_eq!(via_trait, direct, "resource/{walk:?} diverged under trait dispatch");
+        let stepped = stepped_run(&ProtocolKind::Resource(cfg), &g, &tasks, seed);
+        assert_eq!(stepped, direct, "resource/{walk:?} diverged from the one-shot entry point");
         assert!(direct.balanced());
     }
 }
@@ -52,8 +51,8 @@ fn user_trait_dispatch_is_bit_identical() {
     let tasks = tasks();
     let cfg = UserControlledConfig { track_potential: true, ..Default::default() };
     let direct = run_user_controlled(40, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(103));
-    let via_trait = trait_run(&ProtocolKind::User(cfg), &g, &tasks, 103);
-    assert_eq!(via_trait, direct, "user protocol diverged under trait dispatch");
+    let stepped = stepped_run(&ProtocolKind::User(cfg), &g, &tasks, 103);
+    assert_eq!(stepped, direct, "user protocol diverged from the one-shot entry point");
     assert!(direct.balanced());
 }
 
@@ -64,33 +63,9 @@ fn mixed_trait_dispatch_is_bit_identical_for_both_walks() {
     for (walk, seed) in [(WalkKind::MaxDegree, 104), (WalkKind::Lazy, 105)] {
         let cfg = MixedConfig { walk, track_potential: true, ..Default::default() };
         let direct = run_mixed(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(seed));
-        let via_trait = trait_run(&ProtocolKind::Mixed(cfg), &g, &tasks, seed);
-        assert_eq!(via_trait, direct, "mixed/{walk:?} diverged under trait dispatch");
+        let stepped = stepped_run(&ProtocolKind::Mixed(cfg), &g, &tasks, seed);
+        assert_eq!(stepped, direct, "mixed/{walk:?} diverged from the one-shot entry point");
         assert!(direct.balanced());
-    }
-}
-
-#[test]
-fn baseline_trait_dispatch_is_bit_identical() {
-    let g = complete(16);
-    let tasks = tasks();
-    for (rule, seed) in [
-        (BaselineRule::Greedy { d: 2 }, 106),
-        (BaselineRule::SequentialThreshold { retries: 3 }, 107),
-    ] {
-        let cfg = BaselineConfig { rule, ..Default::default() };
-        let mut r = rng(seed);
-        let mut direct = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
-        direct.run(&g, &mut r);
-        let mut r2 = rng(seed);
-        let mut boxed = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r2);
-        boxed.run(&g, &mut r2);
-        assert_eq!(
-            boxed.into_outcome(),
-            direct.into_outcome(),
-            "{} diverged under trait dispatch",
-            rule.label()
-        );
     }
 }
 
@@ -110,8 +85,8 @@ fn mixed_trace_has_the_shared_engine_shape() {
     assert_eq!(trace.records.last().unwrap().max_load, out.final_max_load);
 }
 
-/// The three variants' steppers as one closure family for the proptest:
-/// build → partial run → into_parts → resume through the trait surface.
+/// Weight vectors for the proptest: build → partial run → into_parts →
+/// resume.
 fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(1u32..20, 20..120)
         .prop_map(|v| v.into_iter().map(|w| w as f64).collect())
@@ -120,9 +95,9 @@ fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `into_parts → from_parts` round-trips through the trait surface:
-    /// resuming a partially run stepper preserves every task and finishes
-    /// the run against the same threshold, for all three variants.
+    /// `into_parts → stepper_from_parts` round-trips: resuming a
+    /// partially run stepper preserves every task and finishes the run
+    /// against the same threshold, for all three variants.
     #[test]
     fn into_parts_from_parts_round_trips_through_the_trait(
         weights in arb_weights(),
@@ -149,7 +124,7 @@ proptest! {
         prop_assert!((carried - tasks.total_weight()).abs() < 1e-6,
             "into_parts lost weight: {} vs {}", carried, tasks.total_weight());
 
-        // Resume through the trait with the cap lifted; it must finish.
+        // Resume with the cap lifted; it must finish.
         let resume_kind = match variant {
             0 => ProtocolKind::Resource(Default::default()),
             1 => ProtocolKind::User(Default::default()),
@@ -164,26 +139,5 @@ proptest! {
         let total: f64 = out.final_loads.iter().sum();
         prop_assert!((total - tasks.total_weight()).abs() < 1e-6);
         prop_assert!(out.migrations > 0 || first_migrations > 0 || out.rounds == 0);
-    }
-
-    /// The statically typed [`ProtocolSpec`] constructors agree with the
-    /// dynamic [`ProtocolKind`] dispatch under the same seed.
-    #[test]
-    fn protocol_spec_agrees_with_kind_dispatch(
-        weights in arb_weights(),
-        seed in any::<u64>(),
-    ) {
-        let tasks = TaskSet::new(weights);
-        let g = complete(10);
-        let cfg = ResourceControlledConfig::default();
-        let mut r1 = rng(seed);
-        let mut concrete = <ResourceControlledStepper as ProtocolSpec>::new_stepper(
-            &g, &tasks, Placement::AllOnOne(0), &cfg, &mut r1);
-        concrete.run(&g, &mut r1);
-        let mut r2 = rng(seed);
-        let mut boxed = ProtocolKind::Resource(cfg)
-            .new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r2);
-        boxed.run(&g, &mut r2);
-        prop_assert_eq!(concrete.outcome(), boxed.into_outcome());
     }
 }
