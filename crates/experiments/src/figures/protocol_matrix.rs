@@ -3,11 +3,11 @@
 //!
 //! The cross-product of every protocol the one stepper runs: all three
 //! paper protocols (resource-, user-controlled, mixed) *and* the
-//! related-work baselines (`Greedy[d]`, `(1+β)`, sequential/parallel threshold-retry)
-//! run through [`harness::run_protocol_sweep`] over every configured
-//! graph family and arrival scenario (initial placement × weight
-//! distribution), as **one** self-scheduled pool batch. Every cell
-//! reports balancing rounds, migration volume, and completion rate
+//! related-work baselines (`Greedy[d]`, `(1+β)`, sequential/parallel
+//! threshold-retry) run through [`harness::run_protocol_sweep`] over
+//! every configured graph family and arrival scenario (initial placement
+//! × weight distribution), as **one** self-scheduled pool batch. Every
+//! cell reports balancing rounds, migration volume, and completion rate
 //! against the same threshold policy — the apples-to-apples comparison
 //! the shared stepper exists for.
 //!
